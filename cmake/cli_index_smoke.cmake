@@ -7,10 +7,16 @@
 # (row-at-a-time scalar vs SIMD batched bind/check); none of it may
 # change a single output byte.
 #
+# PROGRAM only ever joins on single-column keys, which --index=auto
+# serves from the direct tier. TRI_PROGRAM (directed triangles over ℕ)
+# closes its join on a two-column key, so it reaches the hash tier under
+# every --index value; its default output must also equal TRI_EXPECTED.
+#
 # Invoked by CTest as:
 #   cmake -DCLI=<datalogo_cli> -DPROGRAM=<.dl> -DEDGES=<.tsv>
+#         -DTRI_PROGRAM=<.dl> -DTRI_EDGES=<.tsv> -DTRI_EXPECTED=<.out>
 #         -DOUT_DIR=<dir> -P cli_index_smoke.cmake
-foreach(var CLI PROGRAM EDGES OUT_DIR)
+foreach(var CLI PROGRAM EDGES TRI_PROGRAM TRI_EDGES TRI_EXPECTED OUT_DIR)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "cli_index_smoke: missing -D${var}=...")
   endif()
@@ -80,5 +86,22 @@ run_cli(${vt4_out} ${PROGRAM} ${base_args} --scan=simd --values=scalar
         --threads=4)
 require_identical(${ref_out} ${vt4_out}
                   "default and --scan=simd --values=scalar --threads=4 output")
+
+# Two-column probes: the triangle program's closing atom E(Z,X).
+set(tri_args --semiring=nat --edb E=${TRI_EDGES})
+set(tri_ref_out "${OUT_DIR}/cli_index_tri_ref.out")
+run_cli(${tri_ref_out} ${TRI_PROGRAM} ${tri_args})
+require_identical(${TRI_EXPECTED} ${tri_ref_out} "expected triangles and output")
+foreach(index hash direct auto)
+  foreach(scan scalar simd)
+    foreach(threads 1 4)
+      set(out "${OUT_DIR}/cli_index_tri_${index}_${scan}_t${threads}.out")
+      run_cli(${out} ${TRI_PROGRAM} ${tri_args} --index=${index}
+              --scan=${scan} --threads=${threads})
+      require_identical(${tri_ref_out} ${out}
+                        "triangle default and --index=${index} --scan=${scan} --threads=${threads} output")
+    endforeach()
+  endforeach()
+endforeach()
 
 message(STATUS "index smoke: all index/scan combinations byte-identical")

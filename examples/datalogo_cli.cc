@@ -2,11 +2,13 @@
 //
 //   datalogo_cli PROGRAM.dl --semiring=trop
 //       --edb E=edges.tsv --bedb G=flags.tsv [--seminaive] [--advise]
-//       [--threads=N] [--scheduler=sweep|ordered]
+//       [--max-steps=N] [--threads=N] [--scheduler=sweep|ordered]
 //       [--index=hash|direct|auto] [--scan=scalar|simd]
 //       [--values=scalar|simd] [--update=BATCH]
 //
 // Semirings: bool, nat, trop, tropnat, fuzzy, viterbi.
+// --max-steps takes 1..INT_MAX, --threads 0..1024 (0 = one per core);
+// anything else — non-numeric, trailing junk, overflow — exits 1.
 // POPS EDB TSVs carry the value in the last column; Boolean EDB TSVs are
 // key-only. Results are printed as sorted TSV per IDB predicate.
 //
@@ -17,6 +19,8 @@
 //   + PRED key...           insert a Boolean-EDB fact
 //   - PRED key...           delete a fact (either kind)
 // '#' comments and blank lines are skipped.
+#include <charconv>
+#include <climits>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -69,6 +73,31 @@ bool ReadFile(const std::string& path, std::string* out) {
   return true;
 }
 
+/// Upper bound for --threads; far above any core count this runs on, and
+/// low enough that a typo cannot ask for a hundred thousand workers.
+constexpr int kMaxThreads = 1024;
+
+/// Parses the decimal integer flag value `text` into *out, requiring the
+/// whole text to be consumed and the value to lie in [lo, hi]. Prints a
+/// message naming `flag` and returns false otherwise — never throws.
+bool ParseIntFlag(const char* flag, const std::string& text, int lo, int hi,
+                  int* out) {
+  int v = 0;
+  const char* end = text.data() + text.size();
+  auto [p, ec] = std::from_chars(text.data(), end, v);
+  if (text.empty() || ec == std::errc::invalid_argument || p != end) {
+    std::fprintf(stderr, "%s: '%s' is not an integer\n", flag, text.c_str());
+    return false;
+  }
+  if (ec == std::errc::result_out_of_range || v < lo || v > hi) {
+    std::fprintf(stderr, "%s: %s is out of range [%d, %d]\n", flag,
+                 text.c_str(), lo, hi);
+    return false;
+  }
+  *out = v;
+  return true;
+}
+
 bool ParseArgs(int argc, char** argv, CliOptions* opt) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -94,9 +123,15 @@ bool ParseArgs(int argc, char** argv, CliOptions* opt) {
     } else if (arg == "--advise") {
       opt->advise = true;
     } else if (arg.rfind("--max-steps=", 0) == 0) {
-      opt->max_steps = std::stoi(value_of("--max-steps="));
+      if (!ParseIntFlag("--max-steps", value_of("--max-steps="), 1, INT_MAX,
+                        &opt->max_steps)) {
+        return false;
+      }
     } else if (arg.rfind("--threads=", 0) == 0) {
-      opt->threads = std::stoi(value_of("--threads="));
+      if (!ParseIntFlag("--threads", value_of("--threads="), 0, kMaxThreads,
+                        &opt->threads)) {
+        return false;
+      }
     } else if (arg.rfind("--scheduler=", 0) == 0) {
       std::string name = value_of("--scheduler=");
       if (name == "sweep") {

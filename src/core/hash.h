@@ -23,6 +23,30 @@ std::size_t HashRange(It first, It last) {
   return seed;
 }
 
+/// Hash of a key: any value exposing size() and operator[] over ids (a
+/// Tuple, a span, a relation row view). The same id sequence hashes
+/// identically whatever form it arrives in. The splitmix64 finalizer
+/// matters: the open-addressing tables this feeds (Relation's row table,
+/// RelationIndex's hash tier) are masked to a power of two and probed
+/// linearly, so weak low-bit dispersion (dense interned ids are highly
+/// structured) would cluster catastrophically. Declared inline on
+/// purpose: it sits on every row-table probe, and the inline hint keeps
+/// GCC inlining it there as it did when it was a member of Relation.
+template <typename Key>
+inline std::size_t KeyHash(const Key& key) {
+  std::size_t h = 0xcbf29ce484222325ULL;
+  const std::size_t n = key.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    HashCombine(h, static_cast<std::size_t>(key[i]));
+  }
+  h ^= h >> 30;
+  h *= 0xbf58476d1ce4e5b9ULL;
+  h ^= h >> 27;
+  h *= 0x94d049bb133111ebULL;
+  h ^= h >> 31;
+  return h;
+}
+
 }  // namespace datalogo
 
 #endif  // DATALOGO_CORE_HASH_H_

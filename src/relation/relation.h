@@ -18,6 +18,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <string>
 #include <type_traits>
@@ -368,26 +369,6 @@ class Relation {
   }
 
  private:
-  /// Hash of a key (Tuple or RowView) — the same value sequence hashes
-  /// identically regardless of which form it arrives in. The splitmix64
-  /// finalizer matters: the table is masked to a power of two and probed
-  /// linearly, so weak low-bit dispersion (dense interned ids are highly
-  /// structured) would cluster catastrophically.
-  template <typename Key>
-  static std::size_t KeyHash(const Key& key) {
-    std::size_t h = 0xcbf29ce484222325ULL;
-    const std::size_t n = key.size();
-    for (std::size_t i = 0; i < n; ++i) {
-      HashCombine(h, static_cast<std::size_t>(key[i]));
-    }
-    h ^= h >> 30;
-    h *= 0xbf58476d1ce4e5b9ULL;
-    h ^= h >> 27;
-    h *= 0x94d049bb133111ebULL;
-    h ^= h >> 31;
-    return h;
-  }
-
   template <typename Key>
   bool RowMatchesKey(uint32_t row, const Key& key) const {
     for (int p = 0; p < arity_; ++p) {
@@ -598,7 +579,7 @@ class Relation {
 /// support size), so the same relation state always gets the same tier —
 /// a prerequisite for the engine's cross-configuration determinism pins.
 enum class IndexRepr : uint8_t {
-  kHashMap,      ///< Tuple-keyed unordered_map — the general tier
+  kHashMap,      ///< flat open-addressing hash table — the general tier
   kDirectArray,  ///< single key column, dense ids: offset-indexed buckets
   kAllRows,      ///< empty key: one list of all live rows
 };
@@ -626,6 +607,13 @@ inline constexpr uint64_t kFilterBuildSpanCap = 8;
 /// bounds check, with no hashing and no key-Tuple walk. Empty keys (full
 /// scans) keep the single live-row list directly. IndexKind::kHash
 /// forces the general tier everywhere.
+///
+/// The hash tier groups rows by key value. Each distinct key is a group
+/// id; its k key ids sit contiguously in one flat vector and its entry
+/// list in a dense vector indexed by group id. A power-of-two slot array
+/// of {32-bit hash tag, group id} pairs (load factor <= 1/2, linear
+/// probing) maps keys to groups, so a miss — the common case for a
+/// join's closing atom — ends on the slot array without reading a key.
 template <Pops P>
 class RelationIndex {
  public:
@@ -638,6 +626,10 @@ class RelationIndex {
     ChooseRepr();
     if (repr_ == IndexRepr::kDirectArray) {
       buckets_.assign(static_cast<std::size_t>(span_), EntryList{});
+    } else if (repr_ == IndexRepr::kHashMap) {
+      // Groups never outnumber live rows: sized once, the build never
+      // rehashes.
+      ResizeSlots(SlotCountFor(rel.support_size()));
     }
     bool ok = AppendRange(0, rel.num_rows());
     DLO_CHECK(ok);  // a fresh build chose its range from the same data
@@ -658,8 +650,8 @@ class RelationIndex {
       case IndexRepr::kHashMap:
         break;
     }
-    auto it = index_.find(key);
-    return it == index_.end() ? kEmpty : it->second;
+    const EntryList* list = FindGroupList(key);
+    return list ? *list : kEmpty;
   }
 
   /// The relation the row ids point into. Only valid while the index is —
@@ -692,12 +684,13 @@ class RelationIndex {
   bool AppendNewRows() { return AppendRange(indexed_rows_, rel_->num_rows()); }
 
   /// Refresh after a Clear + refill cycle: empties every entry list
-  /// (keeping their allocations and, for the hash tier, the map nodes)
+  /// (keeping their allocations and, for the hash tier, the groups and
+  /// their slots — a key seen before the Clear lands in its old group)
   /// and re-appends from row 0. Same false-means-rebuild contract.
   bool ResetAndReappend() {
     all_.clear();
     for (EntryList& b : buckets_) b.clear();
-    for (auto& [key, list] : index_) list.clear();
+    for (EntryList& g : groups_) g.clear();
     indexed_rows_ = 0;
     return AppendRange(0, rel_->num_rows());
   }
@@ -790,17 +783,9 @@ class RelationIndex {
         }
         break;
       }
-      case IndexRepr::kHashMap: {
-        Tuple key(positions_.size(), 0);
-        for (uint32_t r = from; r < to; ++r) {
-          if (may_have_dead && !rel_->RowLive(r)) continue;
-          for (std::size_t i = 0; i < positions_.size(); ++i) {
-            key[i] = rel_->Cell(r, positions_[i]);
-          }
-          index_[key].push_back(r);
-        }
+      case IndexRepr::kHashMap:
+        AppendHashed(from, to, may_have_dead);
         break;
-      }
     }
     rows_scanned_ += to - from;
     indexed_rows_ = to;
@@ -809,12 +794,110 @@ class RelationIndex {
 
   void FilterScans(uint32_t n) { rows_scanned_ += n; }
 
+  // ------------------------------------------------------------ hash tier
+  // The two entry points below stay out of line: inlined, the hashing and
+  // probe loops bloat Lookup and AppendRange, whose direct-tier paths the
+  // join kernels and refreshes run hot.
+
+  /// The hash tier's entry list for `key`, or null if no row has it.
+  [[gnu::noinline]] const EntryList* FindGroupList(const Tuple& key) const {
+    if (key.size() != positions_.size()) return nullptr;
+    const std::span<const ConstId> ids(key.data(), key.size());
+    const Slot slot = slots_[FindSlot(ids, TagOf(ids))];
+    return slot.group == kNoRow ? nullptr : &groups_[slot.group];
+  }
+
+  /// AppendRange's hash-tier case.
+  [[gnu::noinline]] void AppendHashed(uint32_t from, uint32_t to,
+                                      bool may_have_dead) {
+    Tuple key(positions_.size(), 0);
+    for (uint32_t r = from; r < to; ++r) {
+      if (may_have_dead && !rel_->RowLive(r)) continue;
+      for (std::size_t i = 0; i < positions_.size(); ++i) {
+        key[i] = rel_->Cell(r, positions_[i]);
+      }
+      groups_[FindOrAddGroup(std::span<const ConstId>(key.data(), key.size()))]
+          .push_back(r);
+    }
+  }
+
+  /// One slot of the hash tier's table; group == kNoRow marks it empty.
+  /// The tag is the low 32 bits of KeyHash, which also pick the home
+  /// slot, so growing the table re-places slots without reading keys.
+  struct Slot {
+    uint32_t tag;
+    uint32_t group;
+  };
+
+  /// Smallest power-of-two slot count keeping `groups` at load <= 1/2.
+  static std::size_t SlotCountFor(std::size_t groups) {
+    std::size_t n = 8;
+    while (n < 2 * groups) n <<= 1;
+    return n;
+  }
+
+  /// Re-places every occupied slot into a table of `n` (a power of two
+  /// holding at least twice the groups) slots.
+  void ResizeSlots(std::size_t n) {
+    std::vector<Slot> old(n, Slot{0, kNoRow});
+    old.swap(slots_);
+    mask_ = n - 1;
+    for (const Slot& slot : old) {
+      if (slot.group == kNoRow) continue;
+      std::size_t s = slot.tag & mask_;
+      while (slots_[s].group != kNoRow) s = (s + 1) & mask_;
+      slots_[s] = slot;
+    }
+  }
+
+  static uint32_t TagOf(std::span<const ConstId> key) {
+    return static_cast<uint32_t>(KeyHash(key));
+  }
+
+  bool GroupKeyEquals(uint32_t group, std::span<const ConstId> key) const {
+    const ConstId* stored = keys_.data() + std::size_t{group} * key.size();
+    for (std::size_t i = 0; i < key.size(); ++i) {
+      if (stored[i] != key[i]) return false;
+    }
+    return true;
+  }
+
+  /// Linear probe for `key` (positions_.size() ids, tag == TagOf(key)):
+  /// the slot holding its group, or the empty slot where it would go.
+  /// Only a tag match reads a stored key.
+  std::size_t FindSlot(std::span<const ConstId> key, uint32_t tag) const {
+    for (std::size_t s = tag & mask_;; s = (s + 1) & mask_) {
+      const Slot slot = slots_[s];
+      if (slot.group == kNoRow ||
+          (slot.tag == tag && GroupKeyEquals(slot.group, key))) {
+        return s;
+      }
+    }
+  }
+
+  /// The group of `key` (positions_.size() ids), created empty if new.
+  uint32_t FindOrAddGroup(std::span<const ConstId> key) {
+    const uint32_t tag = TagOf(key);
+    const std::size_t s = FindSlot(key, tag);
+    if (slots_[s].group != kNoRow) return slots_[s].group;
+    const auto group = static_cast<uint32_t>(groups_.size());
+    keys_.insert(keys_.end(), key.begin(), key.end());
+    groups_.emplace_back();
+    slots_[s] = Slot{tag, group};
+    if (groups_.size() * 2 > slots_.size()) ResizeSlots(slots_.size() * 2);
+    return group;
+  }
+
   const Relation<P>* rel_;
   std::vector<int> positions_;
   IndexConfig cfg_;
   IndexRepr repr_ = IndexRepr::kHashMap;
-  // General tier.
-  std::unordered_map<Tuple, EntryList, TupleHash> index_;
+  // Hash tier: slots_ maps keys to group ids (mask_ == slots_.size() - 1);
+  // group g's key is keys_[g*k, (g+1)*k) and its entry list groups_[g].
+  std::vector<Slot> slots_;
+  std::size_t mask_ = 0;
+  std::vector<ConstId> keys_;
+  std::vector<EntryList> groups_;
   // Direct tier: buckets_[key - base_], span_ == buckets_.size().
   uint32_t base_ = 0;
   uint64_t span_ = 0;

@@ -1,16 +1,20 @@
-// Tiered RelationIndex (relation.h): the direct (offset-addressed) and
-// all-rows tiers must serve exactly the entry lists of the hash tier —
-// same row ids, same order — over randomized id distributions, forced
-// and auto selection, both scan kernels, tombstoned rows and
-// post-Compact rebuilds. Plus the IndexCache refresh ladder: cache hits
-// scan nothing, soft mutations refresh incrementally (counted into
-// incremental_appends with builds/hits unchanged relative to the
-// rebuild-everything behaviour), hard mutations rebuild and re-pick the
-// tier.
+// Tiered RelationIndex (relation.h): every tier — hash, direct
+// (offset-addressed) and all-rows — must serve exactly the entry lists of
+// a brute-force scan of the live rows — same row ids, ascending order —
+// over randomized id distributions, forced and auto selection, both scan
+// kernels, tombstoned rows, post-Compact rebuilds, multi-column and
+// heap-spilled (width > Tuple::kInlineCapacity) keys, hash-tag
+// collisions, hash-table growth and the in-place refresh paths. Plus the
+// IndexCache refresh ladder: cache hits scan nothing, soft mutations
+// refresh incrementally (counted into incremental_appends with
+// builds/hits unchanged relative to the rebuild-everything behaviour),
+// hard mutations rebuild and re-pick the tier.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <random>
+#include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "src/relation/relation.h"
@@ -34,22 +38,56 @@ std::vector<Tuple> SingleColumnProbes(uint32_t max_id) {
   return probes;
 }
 
-/// Every built index kind × scan kernel must agree with the scalar hash
-/// reference on every probe, list order included.
+/// The oracle: every live row whose projection on `positions` equals
+/// `key`, in ascending row order.
+RowIdList ScanLiveRows(const Relation<TropS>& rel,
+                       const std::vector<int>& positions, const Tuple& key) {
+  RowIdList rows;
+  if (key.size() != positions.size()) return rows;
+  for (uint32_t r = 0; r < rel.num_rows(); ++r) {
+    if (!rel.RowLive(r)) continue;
+    bool match = true;
+    for (std::size_t i = 0; i < positions.size(); ++i) {
+      match = match && rel.Cell(r, positions[i]) == key[i];
+    }
+    if (match) rows.push_back(r);
+  }
+  return rows;
+}
+
+/// `idx` must serve the oracle's list for every probe and for the key of
+/// every live row (so hits are covered whatever the probes are).
+void ExpectMatchesScan(const RelationIndex<TropS>& idx,
+                       const Relation<TropS>& rel,
+                       const std::vector<int>& positions,
+                       const std::vector<Tuple>& probes,
+                       const std::string& what) {
+  std::vector<Tuple> keys = probes;
+  for (uint32_t r = 0; r < rel.num_rows(); ++r) {
+    if (!rel.RowLive(r)) continue;
+    Tuple key;
+    for (int p : positions) key.push_back(rel.Cell(r, p));
+    keys.push_back(key);
+  }
+  for (const Tuple& key : keys) {
+    EXPECT_EQ(ScanLiveRows(rel, positions, key), idx.Lookup(key))
+        << what << " key0=" << (key.size() ? key[0] : 0)
+        << " width=" << key.size();
+  }
+}
+
+/// Every index kind × scan kernel must agree with the oracle on every
+/// probe, list order included.
 void ExpectTiersEquivalent(const Relation<TropS>& rel,
                            const std::vector<int>& positions,
                            const std::vector<Tuple>& probes) {
-  RelationIndex<TropS> ref(rel, positions,
-                           {IndexKind::kHash, ScanKernel::kScalar});
   for (IndexKind kind : kAllKinds) {
     for (ScanKernel scan : kAllScans) {
       RelationIndex<TropS> idx(rel, positions, {kind, scan});
-      for (const Tuple& key : probes) {
-        EXPECT_EQ(ref.Lookup(key), idx.Lookup(key))
-            << "kind=" << static_cast<int>(kind)
-            << " scan=" << static_cast<int>(scan) << " key0="
-            << (key.size() ? key[0] : 0);
-      }
+      ExpectMatchesScan(idx, rel, positions, probes,
+                        "kind=" + std::to_string(static_cast<int>(kind)) +
+                            " scan=" +
+                            std::to_string(static_cast<int>(scan)));
     }
   }
 }
@@ -58,7 +96,8 @@ TEST(RelationIndex, DenseIdsSelectDirectAndAgreeWithHash) {
   std::mt19937 rng(11);
   Relation<TropS> r(2);
   for (uint32_t i = 0; i < 200; ++i) {
-    r.Set({i % 64, rng() % 64}, static_cast<double>(rng() % 100));
+    r.Set({i % 64, static_cast<uint32_t>(rng() % 64)},
+          static_cast<double>(rng() % 100));
   }
   RelationIndex<TropS> auto_idx(r, {0}, {IndexKind::kAuto,
                                          ScanKernel::kSimd});
@@ -75,7 +114,7 @@ TEST(RelationIndex, SparseIdsSelectHashAndAgreeWithForcedDirect) {
   for (int i = 0; i < 40; ++i) {
     uint32_t k = rng() % (1u << 19);  // sparse but under kDirectSpanCap
     keys.push_back(k);
-    r.Set({k, rng() % 8}, static_cast<double>(i));
+    r.Set({k, static_cast<uint32_t>(rng() % 8)}, static_cast<double>(i));
   }
   RelationIndex<TropS> auto_idx(r, {0}, {IndexKind::kAuto,
                                          ScanKernel::kSimd});
@@ -84,11 +123,10 @@ TEST(RelationIndex, SparseIdsSelectHashAndAgreeWithForcedDirect) {
   RelationIndex<TropS> forced(r, {0}, {IndexKind::kDirect,
                                        ScanKernel::kSimd});
   EXPECT_EQ(forced.repr(), IndexRepr::kDirectArray);
-  RelationIndex<TropS> ref(r, {0}, {IndexKind::kHash, ScanKernel::kScalar});
   for (uint32_t k : keys) {
-    EXPECT_EQ(ref.Lookup({k}), forced.Lookup({k}));
-    EXPECT_EQ(ref.Lookup({k}), auto_idx.Lookup({k}));
-    EXPECT_EQ(ref.Lookup({k + 1}), forced.Lookup({k + 1}));
+    EXPECT_EQ(ScanLiveRows(r, {0}, {k}), forced.Lookup({k}));
+    EXPECT_EQ(ScanLiveRows(r, {0}, {k}), auto_idx.Lookup({k}));
+    EXPECT_EQ(ScanLiveRows(r, {0}, {k + 1}), forced.Lookup({k + 1}));
   }
 }
 
@@ -160,13 +198,166 @@ TEST(RelationIndex, RandomizedMutationEquivalence) {
       }
     }
     std::vector<Tuple> probes;
-    for (int i = 0; i < 64; ++i) probes.push_back({rng() % (id_range + 8)});
+    for (int i = 0; i < 64; ++i) {
+      probes.push_back({static_cast<uint32_t>(rng() % (id_range + 8))});
+    }
     ExpectTiersEquivalent(r, {0}, probes);
     std::vector<Tuple> pair_probes;
     for (int i = 0; i < 64; ++i) {
-      pair_probes.push_back({rng() % (id_range + 8), rng() % 18});
+      pair_probes.push_back({static_cast<uint32_t>(rng() % (id_range + 8)),
+                             static_cast<uint32_t>(rng() % 18)});
     }
     ExpectTiersEquivalent(r, {0, 1}, pair_probes);  // multi-col: hash tier
+  }
+}
+
+TEST(RelationIndex, MultiColumnKeysAcrossTableGrowth) {
+  // Sizes straddle several power-of-two slot-table boundaries; keys are
+  // mostly distinct pairs with some repeats, so groups hold 1..n rows.
+  for (uint32_t n : {1u, 3u, 4u, 5u, 7u, 9u, 31u, 33u, 257u, 1025u}) {
+    std::mt19937 rng(n);
+    Relation<TropS> r(3);
+    for (uint32_t i = 0; i < n; ++i) {
+      const uint32_t a = static_cast<uint32_t>(rng() % (n / 2 + 1));
+      r.Set({a, i % 7, i}, static_cast<double>(i));
+    }
+    std::vector<Tuple> probes;
+    for (uint32_t i = 0; i < 32; ++i) {
+      probes.push_back({static_cast<uint32_t>(rng() % (n + 4)), i % 9});
+    }
+    ExpectTiersEquivalent(r, {0, 1}, probes);
+    ExpectTiersEquivalent(r, {1, 0}, probes);  // key order is significant
+  }
+}
+
+TEST(RelationIndex, MultiColumnAppendsGrowTheTableInPlace) {
+  // Refreshes append past the build-time sizing, so the hash tier grows
+  // (re-places its slots) many times while keeping every group.
+  Relation<TropS> r(2);
+  r.Set(Tuple{0, 0}, 1.0);
+  RelationIndex<TropS> idx(r, {0, 1}, {IndexKind::kAuto, ScanKernel::kSimd});
+  ASSERT_EQ(idx.repr(), IndexRepr::kHashMap);
+  std::mt19937 rng(5);
+  for (uint32_t round = 0; round < 12; ++round) {
+    const uint32_t batch = 1u << round;
+    for (uint32_t i = 0; i < batch; ++i) {
+      r.Set({static_cast<uint32_t>(rng() % 300),
+             static_cast<uint32_t>(rng() % 300)},
+            1.0);
+    }
+    ASSERT_EQ(r.tombstones(), 0u);
+    ASSERT_TRUE(idx.AppendNewRows());
+    ExpectMatchesScan(idx, r, {0, 1}, {{0, 0}, {299, 299}, {300, 0}},
+                      "round=" + std::to_string(round));
+  }
+}
+
+TEST(RelationIndex, TagCollisionsFallBackToKeyCompare) {
+  // The hash tier's slot tag is the low 32 bits of KeyHash, so distinct
+  // keys sharing a tag are told apart only by comparing stored keys.
+  // Birthday-search two keys that agree on column 0 and collide on the
+  // tag; the index must still keep them in separate groups.
+  std::unordered_map<uint32_t, uint32_t> seen;
+  uint32_t y1 = 0, y2 = 0;
+  for (uint32_t y = 0; y2 == 0; ++y) {
+    ASSERT_LT(y, 1u << 22) << "no tag collision found";
+    const auto tag = static_cast<uint32_t>(KeyHash(Tuple{7, y}));
+    auto [it, fresh] = seen.emplace(tag, y);
+    if (!fresh) {
+      y1 = it->second;
+      y2 = y;
+    }
+  }
+  Relation<TropS> r(2);
+  r.Set({7, y1}, 1.0);
+  r.Set({7, y2}, 2.0);
+  r.Set({7, y1 + y2}, 3.0);
+  RelationIndex<TropS> idx(r, {0, 1}, {IndexKind::kAuto, ScanKernel::kSimd});
+  ASSERT_EQ(idx.repr(), IndexRepr::kHashMap);
+  EXPECT_EQ(idx.Lookup({7, y1}), RowIdList{0});
+  EXPECT_EQ(idx.Lookup({7, y2}), RowIdList{1});
+  ExpectMatchesScan(idx, r, {0, 1}, {{8, y1}, {7, y2 + 1}}, "collision");
+}
+
+TEST(RelationIndex, WideKeysSpillTupleToHeap) {
+  // Width 5 exceeds Tuple::kInlineCapacity: probe keys live on the heap.
+  static_assert(Tuple::kInlineCapacity < 5);
+  std::mt19937 rng(21);
+  Relation<TropS> r(6);
+  for (uint32_t i = 0; i < 400; ++i) {
+    Tuple t;
+    for (int p = 0; p < 6; ++p) t.push_back(static_cast<uint32_t>(rng() % 3));
+    r.Set(t, static_cast<double>(i % 11));
+  }
+  for (uint32_t i = 0; i < r.num_rows(); i += 5) {
+    Tuple t;
+    for (int p = 0; p < 6; ++p) t.push_back(r.Cell(i, p));
+    r.Set(t, TropS::Inf());  // tombstones mixed in
+  }
+  std::vector<Tuple> probes;
+  for (int i = 0; i < 32; ++i) {
+    Tuple t;
+    for (int p = 0; p < 5; ++p) t.push_back(static_cast<uint32_t>(rng() % 4));
+    probes.push_back(t);
+  }
+  ExpectTiersEquivalent(r, {0, 1, 2, 3, 4}, probes);
+  ExpectTiersEquivalent(r, {5, 3, 1, 0, 2}, probes);
+}
+
+TEST(RelationIndex, ForcedHashWithEmptyKey) {
+  // kHash keeps even the full scan in the hash tier: one group, the
+  // empty key, holding every live row.
+  Relation<TropS> r(2);
+  for (uint32_t i = 0; i < 50; ++i) r.Set({i % 9, i}, 1.0);
+  r.Set({3, 3}, TropS::Inf());
+  RelationIndex<TropS> idx(r, {}, {IndexKind::kHash, ScanKernel::kScalar});
+  EXPECT_EQ(idx.repr(), IndexRepr::kHashMap);
+  EXPECT_TRUE(idx.is_hash());
+  EXPECT_EQ(idx.Lookup(Tuple{}).size(), 49u);
+  ExpectMatchesScan(idx, r, {}, {Tuple{}, Tuple{3}}, "forced hash, {}");
+  Relation<TropS> empty(2);
+  RelationIndex<TropS> none(empty, {}, {IndexKind::kHash,
+                                        ScanKernel::kScalar});
+  EXPECT_EQ(none.Lookup(Tuple{}).size(), 0u);
+}
+
+TEST(RelationIndex, RefreshPathsAfterClearAndRefill) {
+  // ResetAndReappend after a Clear + refill, then AppendNewRows on top,
+  // must match a brute-force scan in every tier that accepts the
+  // refresh; a tier that refuses (a direct key out of range) signals a
+  // rebuild, which is not exercised here.
+  for (IndexKind kind : kAllKinds) {
+    for (const std::vector<int>& positions :
+         {std::vector<int>{0}, std::vector<int>{0, 1},
+          std::vector<int>{}}) {
+      const std::string what =
+          "kind=" + std::to_string(static_cast<int>(kind)) +
+          " width=" + std::to_string(positions.size());
+      Relation<TropS> r(2);
+      for (uint32_t i = 0; i < 40; ++i) r.Set({i % 10, i}, 1.0);
+      RelationIndex<TropS> idx(r, positions, {kind, ScanKernel::kSimd});
+      r.Clear();
+      // Refill: some old keys, some new, in a different row order.
+      for (uint32_t i = 0; i < 30; ++i) r.Set({(i * 7) % 12, 39 - i}, 2.0);
+      ASSERT_EQ(r.tombstones(), 0u);
+      if (!idx.ResetAndReappend()) {
+        EXPECT_NE(idx.repr(), IndexRepr::kHashMap) << what;
+        continue;
+      }
+      std::vector<Tuple> probes;
+      for (uint32_t k = 0; k < 14; ++k) {
+        Tuple key;
+        for (std::size_t i = 0; i < positions.size(); ++i) key.push_back(k);
+        probes.push_back(key);
+      }
+      ExpectMatchesScan(idx, r, positions, probes, what + " reset");
+      for (uint32_t i = 0; i < 25; ++i) r.Set({i % 11, 100 + i}, 3.0);
+      if (!idx.AppendNewRows()) {
+        EXPECT_NE(idx.repr(), IndexRepr::kHashMap) << what;
+        continue;
+      }
+      ExpectMatchesScan(idx, r, positions, probes, what + " append");
+    }
   }
 }
 
