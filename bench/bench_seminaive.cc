@@ -263,132 +263,6 @@ void PrintIndexTierTable() {
       " the four index counters are pinned across every combination)\n");
 }
 
-// Scalar vs batched join kernel: the same APSP workload driven through
-// the row-at-a-time reference join and the SIMD batched bind/check join
-// (gather/compare-mask/compress over kJoinBatch-row chunks of each entry
-// list). Fixpoints, work, and join_batched_rows' invariant (== work when
-// batched, 0 when scalar) hold at every thread count — only wall time
-// moves.
-void PrintJoinKernelTable() {
-  Banner("scalar vs batched join kernel (EngineOptions::scan_kernel)",
-         "SIMD batched bind/check over entry lists, bit-identical");
-  const bool smoke = BenchSmokeMode();
-  const int reps = smoke ? 1 : 3;
-  const int n = smoke ? 48 : 128;
-  Domain dom;
-  auto prog = ApspProgram(&dom).value();
-  Graph g = RandomGraph(n, 3 * n, /*seed=*/9);
-  std::vector<ConstId> ids = InternVertices(n, &dom);
-  EdbInstance<TropS> edb(prog);
-  LoadEdges<TropS>(g, ids, [](const Edge& e) { return e.weight; },
-                   &edb.pops(prog.FindPredicate("E")));
-  Engine<TropS> ref(prog, edb,
-                    EngineOptions{.scan_kernel = ScanKernel::kScalar});
-  auto base = ref.SemiNaive(1 << 20);
-  std::printf("%-14s %-10s %-10s %-16s %-7s %-6s (APSP/Trop random-%d)\n",
-              "join-kernel", "threads", "semi-ms", "batched-rows", "pinned",
-              "agree", n);
-  for (ScanKernel scan : {ScanKernel::kScalar, ScanKernel::kSimd}) {
-    for (int threads : {1, 4}) {
-      const EngineOptions opts{.num_threads = threads, .scan_kernel = scan};
-      double best_ms = 1e300;
-      EvalResult<TropS> r{IdbInstance<TropS>(prog)};
-      uint64_t batched = 0;
-      for (int rep = 0; rep < reps; ++rep) {
-        Engine<TropS> engine(prog, edb, opts);
-        EvalResult<TropS> cur{IdbInstance<TropS>(prog)};
-        double ms = WallMs([&] { cur = engine.SemiNaive(1 << 20); });
-        if (ms < best_ms) {
-          best_ms = ms;
-          batched = engine.join_batched_rows();
-          r = std::move(cur);
-        }
-      }
-      const bool pinned =
-          r.work == base.work &&
-          (scan == ScanKernel::kSimd ? batched == r.work : batched == 0);
-      std::printf("%-14s %-10d %-10.2f %-16llu %-7s %-6s\n",
-                  JoinKernelName(scan).c_str(), threads, best_ms,
-                  static_cast<unsigned long long>(batched),
-                  pinned ? "yes" : "NO",
-                  r.idb.Equals(base.idb) ? "yes" : "NO");
-    }
-  }
-  std::printf(
-      "(the batched kernel drains check-free inner levels in one tight\n"
-      " loop and filters repeated-variable checks with gathered column\n"
-      " compares; survivors keep entry-list order, so fixpoint, work and\n"
-      " merge order replay the scalar run exactly)\n");
-}
-
-// Scalar vs vectorized value plane: the batched join with per-row ⊗ and
-// head merges (values=scalar) against the SemiringSimdTraits kernels
-// (values=simd): SIMD ⊗ products per survivor batch, pre-hashed head
-// keys, ⊕-coalesced adjacent duplicates. values_batched counts the head
-// contributions the scalar path would merge (pre-coalesce) — nonzero
-// exactly when both kernels are kSimd — while fixpoint and work stay
-// pinned to the scalar-scan reference.
-void PrintValueKernelTable() {
-  Banner("scalar vs vectorized value plane (EngineOptions::value_kernel)",
-         "SIMD semiring ⊗/⊕ kernels + batched head emission, bit-identical");
-  const bool smoke = BenchSmokeMode();
-  const int reps = smoke ? 1 : 3;
-  const int n = smoke ? 48 : 128;
-  Domain dom;
-  auto prog = ApspProgram(&dom).value();
-  Graph g = RandomGraph(n, 3 * n, /*seed=*/9);
-  std::vector<ConstId> ids = InternVertices(n, &dom);
-  EdbInstance<TropS> edb(prog);
-  LoadEdges<TropS>(g, ids, [](const Edge& e) { return e.weight; },
-                   &edb.pops(prog.FindPredicate("E")));
-  Engine<TropS> ref(prog, edb,
-                    EngineOptions{.scan_kernel = ScanKernel::kScalar,
-                                  .value_kernel = ScanKernel::kScalar});
-  auto base = ref.SemiNaive(1 << 20);
-  struct Config {
-    ScanKernel scan;
-    ScanKernel values;
-  };
-  const Config configs[] = {
-      {ScanKernel::kScalar, ScanKernel::kScalar},
-      {ScanKernel::kSimd, ScanKernel::kScalar},
-      {ScanKernel::kSimd, ScanKernel::kSimd},
-  };
-  std::printf("%-22s %-10s %-16s %-7s %-6s (APSP/Trop random-%d)\n",
-              "join/value-kernel", "semi-ms", "values-batched", "pinned",
-              "agree", n);
-  for (const Config& c : configs) {
-    const EngineOptions opts{.scan_kernel = c.scan, .value_kernel = c.values};
-    double best_ms = 1e300;
-    EvalResult<TropS> r{IdbInstance<TropS>(prog)};
-    uint64_t vb = 0;
-    for (int rep = 0; rep < reps; ++rep) {
-      Engine<TropS> engine(prog, edb, opts);
-      EvalResult<TropS> cur{IdbInstance<TropS>(prog)};
-      double ms = WallMs([&] { cur = engine.SemiNaive(1 << 20); });
-      if (ms < best_ms) {
-        best_ms = ms;
-        vb = engine.values_batched();
-        r = std::move(cur);
-      }
-    }
-    const bool active =
-        c.scan == ScanKernel::kSimd && c.values == ScanKernel::kSimd;
-    const bool pinned = r.work == base.work && (active ? vb > 0 : vb == 0);
-    std::string config = JoinKernelName(c.scan) + "/" +
-                         ValueKernelName<TropS>(c.scan, c.values);
-    std::printf("%-22s %-10.2f %-16llu %-7s %-6s\n", config.c_str(), best_ms,
-                static_cast<unsigned long long>(vb), pinned ? "yes" : "NO",
-                r.idb.Equals(base.idb) ? "yes" : "NO");
-  }
-  std::printf(
-      "(the vectorized plane gathers the value column per survivor batch,\n"
-      " computes all ⊗ products in one kernel call and ⊕-coalesces\n"
-      " adjacent duplicate head keys before the hash probe; min's tie\n"
-      " rule and ±0.0 are replicated exactly, so fixpoint, work and merge\n"
-      " results replay the scalar run bit for bit)\n");
-}
-
 // Parity-split shortest paths: a wide multi-SCC stratified program — a
 // base group, a mutually recursive Odd/Even group (whose deltas drain in
 // alternation, so the triggered set skips one rule per round), and a
@@ -678,8 +552,6 @@ int main(int argc, char** argv) {
   datalogo::PrintParallelTable();
   datalogo::PrintSchedulerTable();
   datalogo::PrintIndexTierTable();
-  datalogo::PrintJoinKernelTable();
-  datalogo::PrintValueKernelTable();
   datalogo::WriteJson();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

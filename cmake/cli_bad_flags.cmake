@@ -1,8 +1,9 @@
-# Malformed numeric flags at the CLI surface: every bad --threads /
+# Malformed flags at the CLI surface: every bad --threads /
 # --max-steps value must make datalogo_cli exit with a nonzero status
 # and a message naming the flag — never die on a signal (an uncaught
 # std::stoi exception used to reach abort()) and never be accepted
 # silently. The boundary values of each accepted range must still run.
+# Malformed --edb/--bedb use and '#'-leading keys must exit 1.
 #
 # Invoked by CTest as:
 #   cmake -DCLI=<datalogo_cli> -DPROGRAM=<.dl> -DEDGES=<.tsv>
@@ -69,5 +70,33 @@ foreach(flag --threads=0 --threads=4 --max-steps=1 --max-steps=2147483647)
                         "(${rc}):\n${err}")
   endif()
 endforeach()
+
+# Usage and input errors that must exit 1, never abort: --edb/--bedb as
+# the last argument (no PRED=FILE follows), flags that merely begin with
+# --edb/--bedb, and a '#'-leading key token in an EDB file or an update
+# batch ('#' opens a comment only as a line's first byte).
+set(hash_tsv ${CMAKE_CURRENT_BINARY_DIR}/cli_bad_flags_hash_key.tsv)
+set(hash_batch ${CMAKE_CURRENT_BINARY_DIR}/cli_bad_flags_hash_key.batch)
+file(WRITE ${hash_tsv} "a\t#b\t1\n")
+file(WRITE ${hash_batch} "+ E a #b 1\n")
+function(expect_exit_1 label)
+  execute_process(
+    COMMAND ${CLI} ${PROGRAM} --semiring=trop ${ARGN}
+    OUTPUT_QUIET
+    ERROR_VARIABLE err
+    RESULT_VARIABLE rc)
+  if(NOT rc STREQUAL "1")
+    message(FATAL_ERROR "datalogo_cli ${label}: expected exit 1, got "
+                        "${rc}; stderr was:\n${err}")
+  endif()
+endfunction()
+expect_exit_1("trailing --edb" --edb)
+expect_exit_1("trailing --bedb" --bedb)
+expect_exit_1("--edbX" --edbX E=${EDGES})
+expect_exit_1("--bedbX" --bedbX E=${EDGES})
+expect_exit_1("'#'-leading EDB key" --edb E=${hash_tsv})
+expect_exit_1("'#'-leading update key" --edb E=${EDGES}
+              --update=${hash_batch})
+file(REMOVE ${hash_tsv} ${hash_batch})
 
 message(STATUS "bad flags: every malformed value rejected with a message")

@@ -3,9 +3,7 @@
 # --scan=scalar|simd combination must be byte-identical to the default
 # run — fixpoint rows AND the stability-index comment line. The index
 # tier changes how lookups are served and the scan kernel changes how
-# index builds walk columns AND which join kernel the engine runs
-# (row-at-a-time scalar vs SIMD batched bind/check); none of it may
-# change a single output byte.
+# index builds walk columns; neither may change a single output byte.
 #
 # PROGRAM only ever joins on single-column keys, which --index=auto
 # serves from the direct tier. TRI_PROGRAM (directed triangles over ℕ)
@@ -64,28 +62,11 @@ run_cli(${t4_out} ${PROGRAM} ${base_args} --index=direct --scan=simd
 require_identical(${ref_out} ${t4_out}
                   "default and --index=direct --scan=simd --threads=4 output")
 
-# And the scalar join kernel under parallelism: the batched and
-# row-at-a-time joins must replay the same deterministic merge order.
+# And the scalar scans under parallelism.
 set(t4_scalar_out "${OUT_DIR}/cli_index_scalar_t4.out")
 run_cli(${t4_scalar_out} ${PROGRAM} ${base_args} --scan=scalar --threads=4)
 require_identical(${ref_out} ${t4_scalar_out}
                   "default and --scan=scalar --threads=4 output")
-
-# Value-plane kernel: the batched join with scalar values (per-row ⊗ and
-# head merges) must be byte-identical to the vectorized value plane
-# (SIMD ⊗ products, pre-hashed ⊕-coalesced head emission), serial and
-# parallel.
-foreach(values scalar simd)
-  set(out "${OUT_DIR}/cli_index_values_${values}.out")
-  run_cli(${out} ${PROGRAM} ${base_args} --scan=simd --values=${values})
-  require_identical(${ref_out} ${out}
-                    "default and --scan=simd --values=${values} output")
-endforeach()
-set(vt4_out "${OUT_DIR}/cli_index_values_scalar_t4.out")
-run_cli(${vt4_out} ${PROGRAM} ${base_args} --scan=simd --values=scalar
-        --threads=4)
-require_identical(${ref_out} ${vt4_out}
-                  "default and --scan=simd --values=scalar --threads=4 output")
 
 # Two-column probes: the triangle program's closing atom E(Z,X).
 set(tri_args --semiring=nat --edb E=${TRI_EDGES})

@@ -3,8 +3,7 @@
 //   datalogo_cli PROGRAM.dl --semiring=trop
 //       --edb E=edges.tsv --bedb G=flags.tsv [--seminaive] [--advise]
 //       [--max-steps=N] [--threads=N] [--scheduler=sweep|ordered]
-//       [--index=hash|direct|auto] [--scan=scalar|simd]
-//       [--values=scalar|simd] [--update=BATCH]
+//       [--index=hash|direct|auto] [--scan=scalar|simd] [--update=BATCH]
 //
 // Semirings: bool, nat, trop, tropnat, fuzzy, viterbi.
 // --max-steps takes 1..INT_MAX, --threads 0..1024 (0 = one per core);
@@ -47,18 +46,11 @@ struct CliOptions {
   // with triggered rules. Same fixpoint either way; the stability index
   // comment line can differ on multi-group programs.
   Scheduler scheduler = Scheduler::kSweep;
-  // Index tier and scan kernel (engine.h / simd.h). --scan selects both
-  // the index-build column scans and the join kernel (scalar
-  // row-at-a-time vs SIMD batched bind/check). Output is identical for
-  // every combination — these exist for benchmarking and the
-  // byte-identity smoke test.
+  // Index tier and index-build scan kernel (engine.h / simd.h). Output
+  // is identical for every combination — these exist for benchmarking
+  // and the byte-identity smoke test.
   IndexKind index_kind = IndexKind::kAuto;
   ScanKernel scan_kernel = DefaultScanKernel();
-  // --values selects the value-plane kernel (⊗ products / head emission
-  // inside the batched join); only active when --scan=simd and the
-  // semiring opted into SemiringSimdTraits. Output is identical either
-  // way.
-  ScanKernel value_kernel = DefaultValueKernel();
   // --update=FILE: mutation batch serviced by Engine::Update after the
   // initial fixpoint; the printed tables are the maintained result.
   std::string update_path;
@@ -106,18 +98,25 @@ bool ParseArgs(int argc, char** argv, CliOptions* opt) {
     };
     if (arg.rfind("--semiring=", 0) == 0) {
       opt->semiring = value_of("--semiring=");
-    } else if (arg.rfind("--edb", 0) == 0 && i + 1 <= argc) {
-      std::string spec =
-          arg.rfind("--edb=", 0) == 0 ? value_of("--edb=") : argv[++i];
+    } else if (arg == "--edb" || arg.rfind("--edb=", 0) == 0 ||
+               arg == "--bedb" || arg.rfind("--bedb=", 0) == 0) {
+      // "--edb P=FILE" or "--edb=P=FILE" (likewise --bedb).
+      const bool boolean = arg.rfind("--bedb", 0) == 0;
+      const std::string flag = boolean ? "--bedb" : "--edb";
+      std::string spec;
+      if (arg == flag) {
+        if (i + 1 >= argc) {
+          std::fprintf(stderr, "%s: missing PRED=FILE\n", flag.c_str());
+          return false;
+        }
+        spec = argv[++i];
+      } else {
+        spec = value_of(flag + "=");
+      }
       auto eq = spec.find('=');
       if (eq == std::string::npos) return false;
-      opt->edbs.emplace_back(spec.substr(0, eq), spec.substr(eq + 1));
-    } else if (arg.rfind("--bedb", 0) == 0 && i + 1 <= argc) {
-      std::string spec =
-          arg.rfind("--bedb=", 0) == 0 ? value_of("--bedb=") : argv[++i];
-      auto eq = spec.find('=');
-      if (eq == std::string::npos) return false;
-      opt->bedbs.emplace_back(spec.substr(0, eq), spec.substr(eq + 1));
+      (boolean ? opt->bedbs : opt->edbs)
+          .emplace_back(spec.substr(0, eq), spec.substr(eq + 1));
     } else if (arg == "--seminaive") {
       opt->seminaive = true;
     } else if (arg == "--advise") {
@@ -162,16 +161,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* opt) {
         opt->scan_kernel = ScanKernel::kSimd;
       } else {
         std::fprintf(stderr, "unknown scan kernel: %s\n", name.c_str());
-        return false;
-      }
-    } else if (arg.rfind("--values=", 0) == 0) {
-      std::string name = value_of("--values=");
-      if (name == "scalar") {
-        opt->value_kernel = ScanKernel::kScalar;
-      } else if (name == "simd") {
-        opt->value_kernel = ScanKernel::kSimd;
-      } else {
-        std::fprintf(stderr, "unknown value kernel: %s\n", name.c_str());
         return false;
       }
     } else if (arg.rfind("--update=", 0) == 0) {
@@ -223,8 +212,10 @@ bool ParseUpdateBatch(const std::string& text, const Program& prog,
     Tuple t;
     for (int i = 0; i < arity; ++i) {
       ConstId id = 0;
-      if (!io_internal::TryInternToken(toks[2 + i], dom, &id)) {
-        return fail("integer key out of 64-bit range");
+      Status s = io_internal::InternToken(toks[2 + i], lineno, dom, &id);
+      if (!s.ok()) {
+        std::fprintf(stderr, "update batch %s\n", s.message().c_str());
+        return false;
       }
       t.push_back(id);
     }
@@ -309,8 +300,7 @@ int RunAs(const CliOptions& opt, const std::string& text,
                    EngineOptions{.num_threads = opt.threads,
                                  .scheduler = opt.scheduler,
                                  .index_kind = opt.index_kind,
-                                 .scan_kernel = opt.scan_kernel,
-                                 .value_kernel = opt.value_kernel});
+                                 .scan_kernel = opt.scan_kernel});
   EvalResult<P> result = [&] {
     if constexpr (CompleteDistributiveDioid<P>) {
       if (opt.seminaive) return engine.SemiNaive(opt.max_steps);
@@ -375,8 +365,7 @@ int main(int argc, char** argv) {
                  "[--edb P=FILE]... [--bedb P=FILE]... [--seminaive] "
                  "[--advise] [--max-steps=N] [--threads=N] "
                  "[--scheduler=sweep|ordered] [--index=hash|direct|auto] "
-                 "[--scan=scalar|simd] [--values=scalar|simd] "
-                 "[--update=BATCH]\n"
+                 "[--scan=scalar|simd] [--update=BATCH]\n"
                  "semirings: bool nat trop tropnat fuzzy viterbi\n");
     return 1;
   }

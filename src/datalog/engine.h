@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -27,7 +26,6 @@
 #include "src/relation/relation.h"
 #include "src/semiring/boolean.h"
 #include "src/semiring/deletion.h"
-#include "src/semiring/simd_traits.h"
 #include "src/semiring/traits.h"
 
 namespace datalogo {
@@ -91,29 +89,14 @@ struct EngineOptions {
   /// Fixpoints, `work` and all four index counters are bit-identical
   /// across tiers — only probe cost and the new probe counters move.
   IndexKind index_kind = IndexKind::kAuto;
-  /// Column-scan and join kernel (simd.h). kScalar forces the
-  /// definitional reference everywhere: scalar index-build scans and the
-  /// row-at-a-time join loop. kSimd uses the compiled ISA (SSE2/AVX2/
-  /// NEON, scalar tails) for index builds AND routes ExecuteShard
-  /// through the batched join kernel (kJoinBatch row ids decoded per
-  /// step, check ops as masked vector compares, survivors compressed
-  /// before the bind ops run). Fixpoints, `work` and all index counters
-  /// are bit-identical across kernels by construction; only
-  /// join_batched_rows() distinguishes them. Default honors the
-  /// DATALOGO_SCAN environment variable.
+  /// Column-scan kernel for index builds (simd.h): the live-row, key
+  /// range and key-equality scans a RelationIndex build or refresh runs.
+  /// kScalar is the definitional reference; kSimd uses the compiled ISA
+  /// (SSE2/AVX2/NEON, scalar tails). The join itself has one kernel and
+  /// is unaffected. Fixpoints, `work` and all index counters are
+  /// bit-identical across scan kernels. Default honors the DATALOGO_SCAN
+  /// environment variable.
   ScanKernel scan_kernel = DefaultScanKernel();
-  /// Value-plane kernel: how the batched join computes ⊗ products and
-  /// emits head rows for semirings that opt into SemiringSimdTraits
-  /// (Trop, TropN, B, N, R+). kSimd batches value gathers, ⊗ kernels,
-  /// ground residual compares and head-key pre-hashing per survivor
-  /// batch (and ⊕-coalesces adjacent duplicate head keys when the trait
-  /// declares the fold exact); kScalar keeps the per-row P::Times /
-  /// EmitHead reference. Only active when scan_kernel is also kSimd —
-  /// the scalar join kernel is always fully scalar. Fixpoints, `work`
-  /// and all index counters are bit-identical across value kernels;
-  /// only values_batched() distinguishes them. Default honors the
-  /// DATALOGO_VALUES environment variable (falling back to DATALOGO_SCAN).
-  ScanKernel value_kernel = DefaultValueKernel();
 };
 
 /// How Engine::Update serviced one batch (reported for tests/benches).
@@ -214,21 +197,9 @@ class Engine {
   /// fixed order), but NOT pinned across index kinds by design.
   uint64_t hash_probes() const { return hash_probes_; }
   uint64_t direct_probes() const { return direct_probes_; }
-  /// Entry-list rows decoded through the batched join kernel. Zero under
-  /// ScanKernel::kScalar; equal to `work` under kSimd (every visited
-  /// entry goes through the vector path — chunk sizes at shard
-  /// boundaries differ across thread counts, but the counter sums rows,
-  /// so it is thread-invariant like hash_probes: task-private during the
-  /// execute phase, reduced in shard order).
-  uint64_t join_batched_rows() const { return join_batched_rows_; }
-  /// Head contributions emitted through the vectorized value plane —
-  /// counted per surviving (head key, ⊗ product) pair BEFORE any
-  /// ⊕-coalescing, so under (scan_kernel, value_kernel) == (kSimd,
-  /// kSimd) on an opted-in semiring it equals the number of head merges
-  /// the scalar reference would perform, and is 0 under either scalar
-  /// kernel or on a trait-less semiring. Thread-invariant for the same
-  /// reason as join_batched_rows (task-private, reduced in shard order).
-  uint64_t values_batched() const { return values_batched_; }
+  /// Always 0; kept only for perfbench/harness.cc's kernel.* metrics.
+  uint64_t join_batched_rows() const { return 0; }
+  uint64_t values_batched() const { return 0; }
   /// Rows appended to cached indexes by incremental refreshes instead of
   /// full rebuilds (relation.h IndexCache) — nonzero on every delta-driven
   /// run; each appended row replaces a whole-relation re-scan.
@@ -572,20 +543,6 @@ class Engine {
     std::vector<int> key_positions;   ///< arg positions bound beforehand
     std::vector<ValueSource> key_sources;  ///< parallel to key_positions
     std::vector<EntryOp> entry_ops;   ///< non-key positions, in arg order
-    /// entry_ops split for the batched join kernel. A kCheck op can only
-    /// compare against a variable bound by an earlier kBind of the SAME
-    /// atom (anything bound before the atom becomes a key position), so
-    /// each check lowers to a same-row column-pair equality: the entry
-    /// survives iff its `pos` cell equals its `first_pos` cell. Checks
-    /// run first over the whole batch (vector compare + survivor
-    /// compress), then the binds run per survivor — rows failing a
-    /// check never touch the bind columns.
-    struct CheckPair {
-      int pos = 0;        ///< position carrying the repeated variable
-      int first_pos = 0;  ///< position whose kBind introduced it
-    };
-    std::vector<CheckPair> check_pairs;
-    std::vector<EntryOp> bind_ops;  ///< the kBind subset, in arg order
   };
 
   struct CompiledDisjunct {
@@ -594,27 +551,9 @@ class Engine {
     std::vector<std::pair<int, ConstId>> prebindings;
     std::vector<Generator> generators;
     std::vector<const Condition*> residual;
-    /// A residual compare decided false at compile time. The join still
-    /// runs with its exact work/probe trace (the residual keeps the
-    /// condition, so the scalar kernel fails it per row); the batched
-    /// kernel short-circuits the drain instead of paying per-row checks.
-    bool always_false = false;
-    /// Residual Eq/Ne compares between a variable bound by the LAST
-    /// generator and a compile-time-ground side: the vectorized drain
-    /// runs these as batched column-vs-scalar masks (MaskEqScalarU32)
-    /// instead of per-row re-grounding. `pos` is the bound column of the
-    /// last generator's relation, `key` the ground side.
-    struct VecResidual {
-      int pos;
-      ConstId key;
-      bool negate;  ///< true for kNe
-    };
-    std::vector<VecResidual> vec_residuals;
-    /// Residual conditions the vectorized drain must still ground per
-    /// surviving row (bool-atom lookups, var-var compares, compares not
-    /// touching the last generator). residual = vec_residuals ∪ this
-    /// whenever the vectorized drain is reachable.
-    std::vector<const Condition*> batched_residual;
+    /// The innermost generator is a POPS atom whose entry ops are all
+    /// binds, so ExecuteShard drains its entry lists in one tight loop.
+    bool drain_innermost = false;
     std::vector<int> idb_atoms;  ///< indexes of IDB atoms in sp->atoms
     std::vector<int> occ_of_atom;  ///< atom index → IDB occurrence, or -1
     /// Like idb_atoms/occ_of_atom, restricted to atoms whose predicate is
@@ -645,42 +584,6 @@ class Engine {
     Tuple head;                            ///< head tuple buffer
     std::vector<const RowIdList*> entries;  ///< per-level matched row ids
     std::vector<std::size_t> next;         ///< per-level entry cursor
-    // Batched join kernel state. Each level owns a kJoinBatch-wide slice
-    // of `survivors` (levels are re-entered while their parents still
-    // hold half-consumed batches, so the buffers cannot be shared);
-    // `batch` points either into that slice (check levels) or straight
-    // into the entry list (check-free levels decode zero-copy).
-    std::vector<uint32_t> survivors;       ///< levels × kJoinBatch row ids
-    std::vector<const uint32_t*> batch;    ///< per-level current batch
-    std::vector<uint32_t> batch_pos;       ///< per-level batch cursor
-    std::vector<uint32_t> batch_len;       ///< per-level batch fill
-    std::vector<uint32_t> gather_a;        ///< check-gather buffer (lhs)
-    std::vector<uint32_t> gather_b;        ///< check-gather buffer (rhs)
-    // Vectorized value-plane state (sized only for semirings satisfying
-    // VectorizedValuePlane; empty otherwise). val_prod holds one
-    // kJoinBatch-wide ⊗-product slice per level, mirroring `survivors`.
-    // The ValCell wrapper defeats the std::vector<bool> bit-packing
-    // specialization (same trick as Relation's value column); the
-    // *_data() views hand the trait kernels a raw carrier span.
-    struct ValCell {
-      typename P::Value v;
-    };
-    std::vector<ValCell> val_gather;       ///< gathered value batch
-    std::vector<ValCell> val_prod;         ///< levels × kJoinBatch ⊗ acc
-    std::vector<ConstId> head_batch;       ///< kJoinBatch × arity head keys
-    std::vector<std::size_t> head_hash;    ///< pre-computed head-key hashes
-    std::vector<ValCell> head_vals;        ///< per-emission ⊗ products
-    std::vector<const ConstId*> head_col;  ///< per-slot varying column or null
-    std::vector<ConstId> head_fixed;       ///< per-slot drain-invariant value
-    typename P::Value* val_gather_data() {
-      static_assert(sizeof(ValCell) == sizeof(typename P::Value) &&
-                        alignof(ValCell) == alignof(typename P::Value),
-                    "ValCell must be layout-compatible with Value");
-      return reinterpret_cast<typename P::Value*>(val_gather.data());
-    }
-    typename P::Value* val_prod_data() {
-      return reinterpret_cast<typename P::Value*>(val_prod.data());
-    }
   };
 
   /// Per-generator inputs of one disjunct evaluation, resolved during the
@@ -726,8 +629,6 @@ class Engine {
     uint64_t work = 0;
     uint64_t hash_probes = 0;    ///< task-private, reduced in shard order
     uint64_t direct_probes = 0;
-    uint64_t join_batched = 0;   ///< rows through the batched join path
-    uint64_t values_batched = 0;  ///< head emissions through the value plane
     const CompiledDisjunct* sized_for = nullptr;  ///< scratch shape guard
   };
 
@@ -808,25 +709,6 @@ class Engine {
                   EntryOp{EntryOp::Kind::kCheck, static_cast<int>(p), t.var});
             }
           }
-          // Split for the batched kernel: every kCheck pairs with the
-          // kBind that introduced its variable earlier in this atom (see
-          // Generator::CheckPair — no other source is possible).
-          for (const EntryOp& op : g.entry_ops) {
-            if (op.kind == EntryOp::Kind::kBind) {
-              g.bind_ops.push_back(op);
-              continue;
-            }
-            int first_pos = -1;
-            for (const EntryOp& b : g.entry_ops) {
-              if (b.kind == EntryOp::Kind::kBind && b.var == op.var) {
-                first_pos = b.pos;
-                break;
-              }
-            }
-            DLO_CHECK_MSG(first_pos >= 0,
-                          "check without a same-atom binding occurrence");
-            g.check_pairs.push_back({op.pos, first_pos});
-          }
           cd.generators.push_back(std::move(g));
         };
 
@@ -872,58 +754,17 @@ class Engine {
           if (c.kind == Condition::Kind::kCompare) {
             std::optional<bool> decided = DecideGroundCompare(c, pre);
             if (decided.has_value() && *decided) continue;
-            if (decided.has_value() && !*decided) cd.always_false = true;
           }
           cd.residual.push_back(&c);
         }
-        // Classify residuals for the vectorized drain: an Eq/Ne compare
-        // between a variable the LAST generator binds and a side that is
-        // ground at compile time becomes a batched column-vs-scalar mask;
-        // everything else stays a per-row check. Only meaningful when the
-        // innermost generator is a POPS atom (the only drain that
-        // vectorizes) — a bool innermost generator keeps the full
-        // residual on the scalar EmitHead path.
-        if (!cd.generators.empty() && !cd.generators.back().is_bool) {
+        if (!cd.generators.empty()) {
           const Generator& last = cd.generators.back();
-          for (const Condition* c : cd.residual) {
-            typename CompiledDisjunct::VecResidual vr{-1, 0, false};
-            if (c->kind == Condition::Kind::kCompare &&
-                (c->op == CmpOp::kEq || c->op == CmpOp::kNe)) {
-              auto ground_side = [&](const Term& t, ConstId* out_key) {
-                if (!t.IsVar()) {
-                  *out_key = t.constant;
-                  return true;
-                }
-                if (pre[t.var] != kUnbound) {
-                  *out_key = pre[t.var];
-                  return true;
-                }
-                return false;
-              };
-              auto last_bound_pos = [&](const Term& t) {
-                if (!t.IsVar()) return -1;
-                for (const EntryOp& op : last.bind_ops) {
-                  if (op.var == t.var) return op.pos;
-                }
-                return -1;
-              };
-              ConstId key = 0;
-              int pos = last_bound_pos(c->lhs);
-              if (pos >= 0 && ground_side(c->rhs, &key)) {
-                vr = {pos, key, c->op == CmpOp::kNe};
-              } else {
-                pos = last_bound_pos(c->rhs);
-                if (pos >= 0 && ground_side(c->lhs, &key)) {
-                  vr = {pos, key, c->op == CmpOp::kNe};
-                }
-              }
-            }
-            if (vr.pos >= 0) {
-              cd.vec_residuals.push_back(vr);
-            } else {
-              cd.batched_residual.push_back(c);
-            }
-          }
+          cd.drain_innermost =
+              !last.is_bool &&
+              std::none_of(last.entry_ops.begin(), last.entry_ops.end(),
+                           [](const EntryOp& op) {
+                             return op.kind == EntryOp::Kind::kCheck;
+                           });
         }
 
         // O(1) atom-index → IDB-occurrence map for the semi-naive
@@ -1968,8 +1809,6 @@ class Engine {
       st.work = 0;
       st.hash_probes = 0;
       st.direct_probes = 0;
-      st.join_batched = 0;
-      st.values_batched = 0;
     }
     pool_->ParallelFor(tasks.size(), [&](std::size_t t) {
       const TaskRef& tr = tasks[t];
@@ -1977,8 +1816,7 @@ class Engine {
       TaskState& st = par_states_[t];
       ExecuteShard(*un.cd, par_prepared_[static_cast<std::size_t>(tr.unit)],
                    st.scratch, tr.begin, tr.end, &st.partial, &st.work,
-                   &st.hash_probes, &st.direct_probes, &st.join_batched,
-                   &st.values_batched);
+                   &st.hash_probes, &st.direct_probes);
     });
     for (std::size_t t = 0; t < tasks.size(); ++t) {
       const EvalUnit& un = units[static_cast<std::size_t>(tasks[t].unit)];
@@ -1987,8 +1825,6 @@ class Engine {
       *work += par_states_[t].work;
       hash_probes_ += par_states_[t].hash_probes;
       direct_probes_ += par_states_[t].direct_probes;
-      join_batched_rows_ += par_states_[t].join_batched;
-      values_batched_ += par_states_[t].values_batched;
     }
   }
 
@@ -2103,23 +1939,6 @@ class Engine {
     sc->head = Tuple(rule.head.args.size(), 0);
     sc->entries.assign(cd.generators.size(), nullptr);
     sc->next.assign(cd.generators.size(), 0);
-    sc->survivors.assign(cd.generators.size() * simd::kJoinBatch, 0);
-    sc->batch.assign(cd.generators.size(), nullptr);
-    sc->batch_pos.assign(cd.generators.size(), 0);
-    sc->batch_len.assign(cd.generators.size(), 0);
-    sc->gather_a.assign(simd::kJoinBatch, 0);
-    sc->gather_b.assign(simd::kJoinBatch, 0);
-    if constexpr (VectorizedValuePlane<P>) {
-      using ValCell = typename Scratch::ValCell;
-      sc->val_gather.assign(simd::kJoinBatch, ValCell{P::One()});
-      sc->val_prod.assign(cd.generators.size() * simd::kJoinBatch,
-                          ValCell{P::One()});
-      sc->head_batch.assign(simd::kJoinBatch * rule.head.args.size(), 0);
-      sc->head_hash.assign(simd::kJoinBatch, 0);
-      sc->head_vals.assign(simd::kJoinBatch, ValCell{P::One()});
-      sc->head_col.assign(rule.head.args.size(), nullptr);
-      sc->head_fixed.assign(rule.head.args.size(), 0);
-    }
   }
 
   /// Residual checks + zero filter + head construction for one complete
@@ -2149,7 +1968,7 @@ class Engine {
     PrepareGens(cd, resolver, &prep);
     ExecuteShard(cd, prep, scratch_[static_cast<std::size_t>(cd.scratch_id)],
                  0, static_cast<std::size_t>(-1), out, work, &hash_probes_,
-                 &direct_probes_, &join_batched_rows_, &values_batched_);
+                 &direct_probes_);
   }
 
   /// Prepare phase of one disjunct evaluation: resolves every generator's
@@ -2261,15 +2080,14 @@ class Engine {
   }
 
   /// Execute phase: joins driver entries [begin, end) of a prepared
-  /// disjunct into `out`, counting visited entries into `work`.
-  ///
-  /// Two kernels implement the same join, selected once per engine by
-  /// EngineOptions::scan_kernel: the row-at-a-time scalar reference and
-  /// the batch-at-a-time vector kernel (below). Both visit the same
-  /// entries in the same order and merge the same heads in the same
-  /// order, so fixpoints, `work` and every index counter are
-  /// bit-identical across kernels; `join_batched` counts the rows the
-  /// vector path decoded (zero for the scalar kernel).
+  /// disjunct into `out`, counting visited entries into `work`. Runs the
+  /// compiled flat join program with an explicit iterative loop over
+  /// generator levels: per level, the key buffer is filled from
+  /// precomputed sources, looked up in the prepared index, and each entry
+  /// runs its bind/check ops — no recursion, no per-entry allocation, no
+  /// Term re-inspection. Unbinding on backtrack is unnecessary: which
+  /// variables are bound at each level is static, so stale slots are
+  /// always overwritten before being read.
   ///
   /// Const-path safety: reads only immutable prepared/compiled state and
   /// the (unchanging) input relations; writes only `sc`, `out` and the
@@ -2278,30 +2096,7 @@ class Engine {
   void ExecuteShard(const CompiledDisjunct& cd, const PreparedGens& prep,
                     Scratch& sc, std::size_t begin, std::size_t end,
                     Relation<P>* out, uint64_t* work, uint64_t* hash_probes,
-                    uint64_t* direct_probes, uint64_t* join_batched,
-                    uint64_t* values_batched) const {
-    if (options_.scan_kernel == ScanKernel::kSimd) {
-      ExecuteShardBatched(cd, prep, sc, begin, end, out, work, hash_probes,
-                          direct_probes, join_batched, values_batched);
-    } else {
-      ExecuteShardScalar(cd, prep, sc, begin, end, out, work, hash_probes,
-                         direct_probes);
-    }
-  }
-
-  /// The scalar join kernel — the definitional reference. Runs the
-  /// compiled flat join program with an explicit iterative loop over
-  /// generator levels: per level, the key buffer is filled from
-  /// precomputed sources, looked up in the prepared index, and each entry
-  /// runs its bind/check ops — no recursion, no per-entry allocation, no
-  /// Term re-inspection. Unbinding on backtrack is unnecessary: which
-  /// variables are bound at each level is static, so stale slots are
-  /// always overwritten before being read.
-  void ExecuteShardScalar(const CompiledDisjunct& cd, const PreparedGens& prep,
-                          Scratch& sc, std::size_t begin, std::size_t end,
-                          Relation<P>* out, uint64_t* work,
-                          uint64_t* hash_probes,
-                          uint64_t* direct_probes) const {
+                    uint64_t* direct_probes) const {
     for (const auto& [v, c] : cd.prebindings) sc.binding[v] = c;
 
     const std::size_t levels = cd.generators.size();
@@ -2334,12 +2129,48 @@ class Engine {
       sc.next[lvl] = 0;
     };
 
+    // Drains entries [from, to) of the innermost level when it is a
+    // check-free POPS atom (cd.drain_innermost): every entry matches and
+    // emits, so one loop replaces a pass of the level state machine per
+    // row. Rows are visited and heads merged in entry-list order, one
+    // `work` unit per row — the same trace as the general loop.
+    auto drain = [&](std::size_t lvl, std::size_t from, std::size_t to) {
+      const Generator& gen = cd.generators[lvl];
+      const Relation<P>& rel = *prep.pops_rel[lvl];
+      const RowIdList& entries = *sc.entries[lvl];
+      const typename P::Value acc = sc.acc[lvl];
+      *work += to - from;
+      if (gen.entry_ops.size() == 1) {
+        // The dominant shape (e.g. TC's E(Z,Y) level): one bound column,
+        // hoisted to a raw span outside the loop.
+        const ConstId* col = rel.column_data(gen.entry_ops[0].pos);
+        const int var = gen.entry_ops[0].var;
+        for (std::size_t i = from; i < to; ++i) {
+          const uint32_t row = entries[i];
+          sc.binding[var] = col[row];
+          EmitHead(cd, sc, P::Times(acc, rel.ValueAt(row)), out);
+        }
+        return;
+      }
+      for (std::size_t i = from; i < to; ++i) {
+        const uint32_t row = entries[i];
+        for (const EntryOp& op : gen.entry_ops) {
+          sc.binding[op.var] = rel.Cell(row, op.pos);
+        }
+        EmitHead(cd, sc, P::Times(acc, rel.ValueAt(row)), out);
+      }
+    };
+
     sc.acc[0] = P::One();
     std::size_t g = 0;
     for (;;) {
       const Generator& gen = cd.generators[g];
       const RowIdList& entries = *sc.entries[g];
       const std::size_t limit = g == 0 ? end : entries.size();
+      if (g + 1 == levels && cd.drain_innermost) {
+        drain(g, sc.next[g], limit);
+        sc.next[g] = limit;
+      }
       if (sc.next[g] == limit) {
         if (g == 0) break;
         --g;
@@ -2381,371 +2212,6 @@ class Engine {
     }
   }
 
-  /// The batched join kernel. Per level, entry-list row ids are decoded
-  /// simd::kJoinBatch at a time: the level's check ops run first as
-  /// vector compares over the gathered column pairs (Generator::
-  /// CheckPair), the survivor mask is compressed into the level's
-  /// Scratch batch slice, and only then do the bind ops touch the
-  /// surviving rows — check-free levels alias the batch pointer straight
-  /// into the entry list (zero copy). Descending a level leaves the
-  /// parent's batch half-consumed, which is why every level owns its own
-  /// survivor slice; the innermost level drains whole batches in one
-  /// tight loop. Work accounting is per chunk (`work += chunk` on
-  /// refill) and covers every decoded row, matching the scalar kernel's
-  /// per-entry `++work` exactly; survivor order is entry-list order, so
-  /// head merges replay the scalar sequence bit-for-bit.
-  void ExecuteShardBatched(const CompiledDisjunct& cd,
-                           const PreparedGens& prep, Scratch& sc,
-                           std::size_t begin, std::size_t end,
-                           Relation<P>* out, uint64_t* work,
-                           uint64_t* hash_probes, uint64_t* direct_probes,
-                           uint64_t* join_batched,
-                           uint64_t* values_batched) const {
-    for (const auto& [v, c] : cd.prebindings) sc.binding[v] = c;
-    // The value plane vectorizes only when BOTH kernels are kSimd and
-    // the semiring opted in; otherwise ⊗/⊕ stay on the scalar reference
-    // inside this (row-decode-batched) kernel.
-    const bool value_simd = options_.value_kernel == ScanKernel::kSimd;
-
-    const std::size_t levels = cd.generators.size();
-    if (levels == 0) {
-      EmitHead(cd, sc, P::One(), out);
-      return;
-    }
-    const RowIdList& driver = *prep.level0;
-    if (end > driver.size()) end = driver.size();
-    if (begin >= end) return;
-    sc.entries[0] = &driver;
-    sc.next[0] = begin;
-    sc.batch_pos[0] = 0;
-    sc.batch_len[0] = 0;
-
-    auto enter_level = [&](std::size_t lvl) {
-      const Generator& gen = cd.generators[lvl];
-      Tuple& key = sc.keys[lvl];
-      for (std::size_t i = 0; i < gen.key_sources.size(); ++i) {
-        const ValueSource& s = gen.key_sources[i];
-        key[i] = s.var >= 0 ? sc.binding[s.var] : s.constant;
-      }
-      CountProbe(prep.repr[lvl], hash_probes, direct_probes);
-      if (gen.is_bool) {
-        sc.entries[lvl] = &prep.bool_idx[lvl]->Lookup(key);
-      } else {
-        sc.entries[lvl] = &prep.pops_idx[lvl]->Lookup(key);
-      }
-      sc.next[lvl] = 0;
-      sc.batch_pos[lvl] = 0;
-      sc.batch_len[lvl] = 0;
-    };
-
-    // Refills level g's survivor batch from its entry list; returns
-    // false when the list is exhausted without survivors (pop a level).
-    // Chunks that fail every check refill again immediately, so one
-    // call always leaves either a non-empty batch or a spent cursor.
-    constexpr uint32_t kB = simd::kJoinBatch;
-    auto refill = [&](std::size_t g) {
-      const Generator& gen = cd.generators[g];
-      const RowIdList& entries = *sc.entries[g];
-      const std::size_t limit = g == 0 ? end : entries.size();
-      uint32_t filled = 0;
-      while (filled == 0 && sc.next[g] < limit) {
-        const uint32_t chunk =
-            static_cast<uint32_t>(std::min<std::size_t>(kB, limit - sc.next[g]));
-        const uint32_t* rows = entries.data() + sc.next[g];
-        sc.next[g] += chunk;
-        *work += chunk;
-        *join_batched += chunk;
-        if (gen.check_pairs.empty()) {
-          sc.batch[g] = rows;
-          filled = chunk;
-          continue;
-        }
-        uint32_t mask = (1u << chunk) - 1;  // chunk <= kB < 32
-        for (const typename Generator::CheckPair& cp : gen.check_pairs) {
-          const ConstId* ca;
-          const ConstId* cb;
-          if (gen.is_bool) {
-            ca = prep.bool_rel[g]->column_data(cp.pos);
-            cb = prep.bool_rel[g]->column_data(cp.first_pos);
-          } else {
-            ca = prep.pops_rel[g]->column_data(cp.pos);
-            cb = prep.pops_rel[g]->column_data(cp.first_pos);
-          }
-          simd::GatherU32(ca, rows, chunk, ScanKernel::kSimd,
-                          sc.gather_a.data());
-          simd::GatherU32(cb, rows, chunk, ScanKernel::kSimd,
-                          sc.gather_b.data());
-          mask &= simd::MaskEqU32(sc.gather_a.data(), sc.gather_b.data(),
-                                  chunk, ScanKernel::kSimd);
-          if (mask == 0) break;
-        }
-        uint32_t* surv = sc.survivors.data() + g * kB;
-        filled = simd::CompressRowIds(rows, mask, surv);
-        sc.batch[g] = surv;
-      }
-      if constexpr (VectorizedValuePlane<P>) {
-        // Mid-level ⊗ batching: acc[g] is invariant while this batch is
-        // consumed (the parent wrote it before descending), so the whole
-        // batch's products are one gather + one kernel call into the
-        // level's val_prod slice. The innermost level computes products
-        // in its own drain instead (it may bypass refill entirely).
-        if (value_simd && filled != 0 && g + 1 < levels &&
-            !cd.generators[g].is_bool) {
-          using Traits = SemiringSimdTraits<P>;
-          Traits::GatherVals(prep.pops_rel[g]->value_data(), sc.batch[g],
-                             filled, ScanKernel::kSimd, sc.val_gather_data());
-          Traits::TimesScalarVec(sc.acc[g], sc.val_gather_data(), filled,
-                                 ScanKernel::kSimd,
-                                 sc.val_prod_data() + g * kB);
-        }
-      }
-      sc.batch_len[g] = filled;
-      sc.batch_pos[g] = 0;
-      return filled != 0;
-    };
-
-    // Drains one innermost-level row batch: binds, accumulate, emit —
-    // no state-machine dispatch per row.
-    auto drain = [&](std::size_t g, const uint32_t* rows, std::size_t n) {
-      // A compile-time-false residual can never emit: the callers have
-      // already counted this batch's work/decode (and the descent above
-      // kept the probe trace), so the per-row residual re-grounding the
-      // scalar kernel pays is pure waste — skip the drain body entirely.
-      if (cd.always_false) return;
-      const Generator& gen = cd.generators[g];
-      const typename P::Value& acc_in = sc.acc[g];
-      if constexpr (VectorizedValuePlane<P>) {
-        if (value_simd && !gen.is_bool) {
-          DrainValueBatched(cd, prep, sc, g, rows, n, out, values_batched);
-          return;
-        }
-      }
-      if (gen.is_bool) {
-        const Relation<BoolS>& rel = *prep.bool_rel[g];
-        for (std::size_t i = 0; i < n; ++i) {
-          const uint32_t row = rows[i];
-          for (const EntryOp& op : gen.bind_ops) {
-            sc.binding[op.var] = rel.Cell(row, op.pos);
-          }
-          EmitHead(cd, sc, acc_in, out);
-        }
-      } else if (gen.bind_ops.size() == 1) {
-        // The dominant shape (e.g. TC's E(Z,Y) level): one bound column,
-        // hoisted to a raw span outside the loop.
-        const Relation<P>& rel = *prep.pops_rel[g];
-        const ConstId* col = rel.column_data(gen.bind_ops[0].pos);
-        const int var = gen.bind_ops[0].var;
-        for (std::size_t i = 0; i < n; ++i) {
-          const uint32_t row = rows[i];
-          sc.binding[var] = col[row];
-          EmitHead(cd, sc, P::Times(acc_in, rel.ValueAt(row)), out);
-        }
-      } else {
-        const Relation<P>& rel = *prep.pops_rel[g];
-        for (std::size_t i = 0; i < n; ++i) {
-          const uint32_t row = rows[i];
-          for (const EntryOp& op : gen.bind_ops) {
-            sc.binding[op.var] = rel.Cell(row, op.pos);
-          }
-          EmitHead(cd, sc, P::Times(acc_in, rel.ValueAt(row)), out);
-        }
-      }
-    };
-
-    sc.acc[0] = P::One();
-    std::size_t g = 0;
-    for (;;) {
-      const Generator& gen = cd.generators[g];
-      if (g + 1 == levels) {
-        // Innermost level: everything it produces is consumed here, so a
-        // check-free list needs no survivor buffer at all — the whole
-        // remaining range is one batch. Check-bearing lists go through
-        // the refill/compress cycle batch by batch.
-        if (gen.check_pairs.empty()) {
-          const RowIdList& entries = *sc.entries[g];
-          const std::size_t limit = g == 0 ? end : entries.size();
-          const std::size_t n = limit - sc.next[g];
-          drain(g, entries.data() + sc.next[g], n);
-          sc.next[g] = limit;
-          *work += n;
-          *join_batched += n;
-        } else {
-          while (refill(g)) {
-            drain(g, sc.batch[g], sc.batch_len[g]);
-            sc.batch_pos[g] = sc.batch_len[g];
-          }
-        }
-        if (g == 0) break;
-        --g;
-        continue;
-      }
-      // Mid level: take one survivor, bind, accumulate, descend.
-      if (sc.batch_pos[g] == sc.batch_len[g] && !refill(g)) {
-        if (g == 0) break;
-        --g;
-        continue;
-      }
-      const uint32_t bidx = sc.batch_pos[g];
-      const uint32_t row = sc.batch[g][bidx];
-      ++sc.batch_pos[g];
-      if (gen.is_bool) {
-        const Relation<BoolS>& rel = *prep.bool_rel[g];
-        for (const EntryOp& op : gen.bind_ops) {
-          sc.binding[op.var] = rel.Cell(row, op.pos);
-        }
-        sc.acc[g + 1] = sc.acc[g];
-      } else {
-        const Relation<P>& rel = *prep.pops_rel[g];
-        for (const EntryOp& op : gen.bind_ops) {
-          sc.binding[op.var] = rel.Cell(row, op.pos);
-        }
-        bool batched_acc = false;
-        if constexpr (VectorizedValuePlane<P>) {
-          if (value_simd) {
-            // refill computed the whole batch's products already.
-            sc.acc[g + 1] = sc.val_prod[g * kB + bidx].v;
-            batched_acc = true;
-          }
-        }
-        if (!batched_acc) sc.acc[g + 1] = P::Times(sc.acc[g], rel.ValueAt(row));
-      }
-      ++g;
-      enter_level(g);
-    }
-  }
-
-  /// A borrowed head-key view over the batched head buffer. Shapes like a
-  /// Tuple (size() + operator[]) so Relation's probe/merge templates and
-  /// KeyHash accept it without materializing a key per emission.
-  struct HeadKeyRef {
-    const ConstId* p;
-    std::size_t n;
-    std::size_t size() const { return n; }
-    ConstId operator[](std::size_t i) const { return p[i]; }
-  };
-
-  /// The vectorized innermost drain (SemiringSimdTraits semirings under
-  /// value_kernel == kSimd only). Per survivor chunk of up to kJoinBatch
-  /// rows: gather the value column once, compute every ⊗ product in one
-  /// TimesScalarVec call, run ground residual Eq/Ne compares as batched
-  /// column-vs-scalar masks, then walk the surviving lanes in entry-list
-  /// order — remaining residuals, zero filter, head-key build and
-  /// pre-hash — and merge. When the trait declares ⊕ exactly associative
-  /// (kExactPlusFold), adjacent duplicate head keys fold into a single
-  /// pre-hashed upsert; the fold preserves stored values bit-for-bit
-  /// (exact associativity + exact ⊥-identity), first-occurrence append
-  /// order, and — on a naturally ordered semiring — tombstone behaviour
-  /// (x ≠ ⊥ ⇒ x ⊕ y ≠ ⊥), so fixpoints and every pinned counter match
-  /// the scalar emission sequence exactly.
-  void DrainValueBatched(const CompiledDisjunct& cd, const PreparedGens& prep,
-                         Scratch& sc, std::size_t g, const uint32_t* rows,
-                         std::size_t n, Relation<P>* out,
-                         uint64_t* values_batched) const {
-    using Traits = SemiringSimdTraits<P>;
-    using Value = typename P::Value;
-    constexpr uint32_t kB = simd::kJoinBatch;
-    const ScanKernel vk = ScanKernel::kSimd;
-    const Generator& gen = cd.generators[g];
-    const Relation<P>& rel = *prep.pops_rel[g];
-    const Value* vd = rel.value_data();
-    const Value& acc_in = sc.acc[g];
-    const std::size_t ar = cd.head_sources.size();
-    // Classify head slots once per drain: a slot fed by one of THIS
-    // generator's binds varies per row (read straight off the bound
-    // column); every other slot is constant for the whole call.
-    for (std::size_t j = 0; j < ar; ++j) {
-      const ValueSource& s = cd.head_sources[j];
-      const ConstId* colp = nullptr;
-      if (s.var >= 0) {
-        for (const EntryOp& op : gen.bind_ops) {
-          if (op.var == s.var) {
-            colp = rel.column_data(op.pos);
-            break;
-          }
-        }
-      }
-      sc.head_col[j] = colp;
-      sc.head_fixed[j] =
-          colp ? 0 : (s.var >= 0 ? sc.binding[s.var] : s.constant);
-    }
-    const bool per_row_residual = !cd.batched_residual.empty();
-    Value* prod = sc.val_prod_data() + g * kB;
-    for (std::size_t base = 0; base < n; base += kB) {
-      const uint32_t c =
-          static_cast<uint32_t>(std::min<std::size_t>(kB, n - base));
-      const uint32_t* chunk_rows = rows + base;
-      // All c ⊗ products of this chunk in one kernel call.
-      Traits::GatherVals(vd, chunk_rows, c, vk, sc.val_gather_data());
-      Traits::TimesScalarVec(acc_in, sc.val_gather_data(), c, vk, prod);
-      // Ground residual compares over this level's bound columns run as
-      // batched masks — a dead lane never reaches the per-row loop.
-      const uint32_t full = (1u << c) - 1;  // c <= kB < 32
-      uint32_t mask = full;
-      for (const typename CompiledDisjunct::VecResidual& vr :
-           cd.vec_residuals) {
-        simd::GatherU32(rel.column_data(vr.pos), chunk_rows, c, vk,
-                        sc.gather_a.data());
-        const uint32_t em =
-            simd::MaskEqScalarU32(sc.gather_a.data(), c, vr.key, vk);
-        mask &= vr.negate ? (~em & full) : em;
-        if (mask == 0) break;
-      }
-      // Surviving lanes in entry-list order: remaining residuals, zero
-      // filter, head build + pre-hash.
-      uint32_t emit = 0;
-      while (mask != 0) {
-        const uint32_t i = static_cast<uint32_t>(__builtin_ctz(mask));
-        mask &= mask - 1;
-        const uint32_t row = chunk_rows[i];
-        if (per_row_residual) {
-          for (const EntryOp& op : gen.bind_ops) {
-            sc.binding[op.var] = rel.Cell(row, op.pos);
-          }
-          bool ok = true;
-          for (const Condition* cond : cd.batched_residual) {
-            if (!CheckCondition(*cond, sc.binding)) {
-              ok = false;
-              break;
-            }
-          }
-          if (!ok) continue;
-        }
-        const Value& v = prod[i];
-        if (P::Eq(v, P::Zero())) continue;
-        ConstId* hk = sc.head_batch.data() + emit * ar;
-        for (std::size_t j = 0; j < ar; ++j) {
-          hk[j] = sc.head_col[j] != nullptr ? sc.head_col[j][row]
-                                            : sc.head_fixed[j];
-        }
-        sc.head_hash[emit] = Relation<P>::HashOf(HeadKeyRef{hk, ar});
-        sc.head_vals[emit].v = v;
-        ++emit;
-      }
-      *values_batched += emit;
-      // Upserts in emission order. Under kExactPlusFold, a run of equal
-      // adjacent head keys (hash prefilter, then exact compare) folds
-      // into one probe; otherwise one probe per emission (R+ sums would
-      // reassociate).
-      uint32_t i = 0;
-      while (i < emit) {
-        const ConstId* ki = sc.head_batch.data() + i * ar;
-        Value folded = sc.head_vals[i].v;
-        uint32_t run_end = i + 1;
-        if constexpr (Traits::kExactPlusFold) {
-          while (run_end < emit && sc.head_hash[run_end] == sc.head_hash[i] &&
-                 (ar == 0 ||
-                  std::memcmp(ki, sc.head_batch.data() + run_end * ar,
-                              ar * sizeof(ConstId)) == 0)) {
-            folded = P::Plus(folded, sc.head_vals[run_end].v);
-            ++run_end;
-          }
-        }
-        out->MergeHashed(HeadKeyRef{ki, ar}, sc.head_hash[i], folded);
-        i = run_end;
-      }
-    }
-  }
-
   const Program* prog_;
   const EdbInstance<P>* edb_;
   EngineOptions options_;
@@ -2770,8 +2236,6 @@ class Engine {
   mutable uint64_t idb_index_hits_ = 0;    ///< cache hits for IDB inputs
   mutable uint64_t hash_probes_ = 0;    ///< hash-map index lookups
   mutable uint64_t direct_probes_ = 0;  ///< direct-array index lookups
-  mutable uint64_t join_batched_rows_ = 0;
-  mutable uint64_t values_batched_ = 0;  ///< vector value-plane emissions  ///< rows through vector join
   mutable uint64_t edb_index_scan_rows_ = 0;  ///< EDB build-scan rows
   mutable std::vector<EvalUnit> group_units_;  ///< ordered-round unit buffer
   mutable uint64_t group_iterations_ = 0;  ///< ordered: local rounds run

@@ -44,21 +44,37 @@ inline bool LooksLikeInt(const std::string& s) {
   return true;
 }
 
-/// Interns one key token: integer-looking tokens as integers, everything
-/// else as symbols. Returns false — instead of letting std::stoll throw
-/// std::out_of_range through the loaders — when the token spells an
-/// integer that does not fit int64_t.
-inline bool TryInternToken(const std::string& tok, Domain* dom,
-                           ConstId* out) {
+/// Interns one key token read from line `lineno`: integer-looking tokens
+/// as integers, everything else as symbols. Returns InvalidArgument
+/// naming the line — instead of letting std::stoll throw through the
+/// loaders, or storing a symbol DumpTsv cannot write back — when the
+/// token spells an integer that does not fit int64_t or begins with '#'
+/// (the comment marker of the grammar above).
+inline Status InternToken(const std::string& tok, int lineno, Domain* dom,
+                          ConstId* out) {
+  if (!tok.empty() && tok[0] == '#') {
+    return InvalidArgument("line " + std::to_string(lineno) +
+                           ": key may not begin with '#': '" + tok + "'");
+  }
   if (LooksLikeInt(tok)) {
     int64_t v = 0;
     auto [p, ec] = std::from_chars(tok.data(), tok.data() + tok.size(), v);
-    if (ec != std::errc() || p != tok.data() + tok.size()) return false;
+    if (ec != std::errc() || p != tok.data() + tok.size()) {
+      return InvalidArgument("line " + std::to_string(lineno) +
+                             ": integer key out of 64-bit range '" + tok +
+                             "'");
+    }
     *out = dom->InternInt(v);
-    return true;
+    return Status::Ok();
   }
   *out = dom->InternSymbol(tok);
-  return true;
+  return Status::Ok();
+}
+
+/// InternToken for callers that report their own error.
+inline bool TryInternToken(const std::string& tok, Domain* dom,
+                           ConstId* out) {
+  return InternToken(tok, 0, dom, out).ok();
 }
 
 inline std::vector<std::string> SplitLine(const std::string& line) {
@@ -108,11 +124,8 @@ Status LoadTsv(const std::string& text, Domain* dom, Relation<P>* rel,
     t.clear();
     for (int i = 0; i < rel->arity(); ++i) {
       ConstId id = 0;
-      if (!io_internal::TryInternToken(toks[i], dom, &id)) {
-        return InvalidArgument("line " + std::to_string(lineno) +
-                               ": integer key out of 64-bit range '" +
-                               toks[i] + "'");
-      }
+      Status s = io_internal::InternToken(toks[i], lineno, dom, &id);
+      if (!s.ok()) return s;
       t.push_back(id);
     }
     typename P::Value v;
@@ -146,11 +159,8 @@ inline Status LoadTsvBool(const std::string& text, Domain* dom,
     t.clear();
     for (const std::string& tok : toks) {
       ConstId id = 0;
-      if (!io_internal::TryInternToken(tok, dom, &id)) {
-        return InvalidArgument("line " + std::to_string(lineno) +
-                               ": integer key out of 64-bit range '" + tok +
-                               "'");
-      }
+      Status s = io_internal::InternToken(tok, lineno, dom, &id);
+      if (!s.ok()) return s;
       t.push_back(id);
     }
     rel->Set(t, true);

@@ -21,7 +21,6 @@
 #include <span>
 #include <sstream>
 #include <string>
-#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -155,25 +154,10 @@ class Relation {
   RowView View(uint32_t row) const { return RowView(&cols_, row); }
   /// One whole key column — the sequential-scan surface for index builds.
   const std::vector<ConstId>& column(int pos) const { return cols_[pos]; }
-  /// Raw span of one key column, indexable by row id — the gather
-  /// surface of the batched join kernel (simd::GatherU32 decodes entry
-  /// batches straight from it). Valid until the columns mutate.
+  /// Raw span of one key column, indexable by row id — what the join
+  /// kernel's innermost drain reads bound cells from. Valid until the
+  /// columns mutate.
   const ConstId* column_data(int pos) const { return cols_[pos].data(); }
-  /// Raw span of the value column, indexable by row id — the gather
-  /// surface of the batched VALUE kernel (semiring/simd_traits.h), the
-  /// value-plane twin of column_data(). Only instantiable for trivially
-  /// copyable carriers whose ValueCell wrapper is layout-compatible with
-  /// the bare Value (asserted below — the wrapper exists solely to defeat
-  /// vector<bool>, so a one-member standard-layout struct adds no
-  /// padding). Valid until the value column mutates.
-  const Value* value_data() const {
-    static_assert(std::is_trivially_copyable_v<Value>,
-                  "value_data() requires a raw-gatherable carrier");
-    static_assert(sizeof(ValueCell) == sizeof(Value) &&
-                      alignof(ValueCell) == alignof(Value),
-                  "ValueCell must be layout-compatible with Value");
-    return reinterpret_cast<const Value*>(values_.data());
-  }
   /// Raw live-flag bytes (parallel to the columns) — the SIMD-scan
   /// surface for live-row compaction during index builds.
   const uint8_t* live_data() const { return live_flags_.data(); }
@@ -232,23 +216,6 @@ class Relation {
   /// rebuild per touched relation instead of one per tuple.
   bool Erase(const Tuple& t) { return EraseKey(t); }
   bool Erase(const RowView& key) { return EraseKey(key); }
-
-  /// The key hash Merge/Get probe with, exposed so batched callers can
-  /// hash a whole head batch ahead of the probes. Any Key exposing
-  /// size() and operator[] over ConstIds works; the same value sequence
-  /// hashes identically regardless of form.
-  template <typename Key>
-  static std::size_t HashOf(const Key& key) {
-    return KeyHash(key);
-  }
-  /// Merge with the key's hash precomputed by HashOf(key) — the batched
-  /// head-emission upsert. Behaviour (including version accounting) is
-  /// identical to Merge(); only the hash computation moves out of the
-  /// probe. `hash` MUST equal HashOf(key).
-  template <typename Key>
-  void MergeHashed(const Key& key, std::size_t hash, const Value& v) {
-    MergeKeyHashed(key, hash, v);
-  }
 
   /// r ← r ⊕ other, consuming `other` (left empty but structurally valid):
   /// the reduce primitive for the engine's parallel per-task partials.
@@ -381,15 +348,7 @@ class Relation {
   /// where it would be inserted. Requires a non-empty table.
   template <typename Key>
   std::size_t Probe(const Key& key) const {
-    return ProbeHashed(key, KeyHash(key));
-  }
-
-  /// Probe with the hash already computed (hash == KeyHash(key)); the
-  /// hash is independent of table size, so callers may compute it before
-  /// ReserveOneRow() grows the table.
-  template <typename Key>
-  std::size_t ProbeHashed(const Key& key, std::size_t hash) const {
-    std::size_t s = hash & mask_;
+    std::size_t s = KeyHash(key) & mask_;
     for (;;) {
       uint32_t r = slots_[s];
       if (r == kNoRow || RowMatchesKey(r, key)) return s;
@@ -500,14 +459,9 @@ class Relation {
 
   template <typename Key>
   void MergeKey(const Key& key, const Value& v) {
-    MergeKeyHashed(key, KeyHash(key), v);
-  }
-
-  template <typename Key>
-  void MergeKeyHashed(const Key& key, std::size_t hash, const Value& v) {
     DLO_CHECK(static_cast<int>(key.size()) == arity_);
     ReserveOneRow();
-    std::size_t slot = ProbeHashed(key, hash);
+    std::size_t slot = Probe(key);
     uint32_t r = slots_[slot];
     if (r != kNoRow && live_flags_[r]) {
       Value nv = P::Plus(values_[r].v, v);
@@ -797,7 +751,7 @@ class RelationIndex {
   // ------------------------------------------------------------ hash tier
   // The two entry points below stay out of line: inlined, the hashing and
   // probe loops bloat Lookup and AppendRange, whose direct-tier paths the
-  // join kernels and refreshes run hot.
+  // join kernel and refreshes run hot.
 
   /// The hash tier's entry list for `key`, or null if no row has it.
   [[gnu::noinline]] const EntryList* FindGroupList(const Tuple& key) const {

@@ -63,8 +63,6 @@ struct RunResult {
   uint64_t hash_probes = 0;
   uint64_t direct_probes = 0;
   uint64_t incremental_appends = 0;
-  uint64_t join_batched_rows = 0;
-  uint64_t values_batched = 0;
 };
 
 template <Pops P>
@@ -77,21 +75,6 @@ RunResult<P> RunOnce(const Program& prog, const EdbInstance<P>& edb,
   out.hash_probes = engine.hash_probes();
   out.direct_probes = engine.direct_probes();
   out.incremental_appends = engine.idx_incremental_appends();
-  out.join_batched_rows = engine.join_batched_rows();
-  out.values_batched = engine.values_batched();
-  // The join-kernel totality invariant: under the batched kernel every
-  // visited entry is decoded through the vector path; under the scalar
-  // kernel none is. The value plane additionally needs value_kernel =
-  // kSimd and an opted-in semiring.
-  if (opts.scan_kernel == ScanKernel::kSimd) {
-    EXPECT_EQ(out.join_batched_rows, out.eval.work);
-  } else {
-    EXPECT_EQ(out.join_batched_rows, 0u);
-  }
-  if (opts.scan_kernel != ScanKernel::kSimd ||
-      opts.value_kernel != ScanKernel::kSimd || !VectorizedValuePlane<P>) {
-    EXPECT_EQ(out.values_batched, 0u);
-  }
   return out;
 }
 
@@ -120,8 +103,7 @@ void ExpectBitIdenticalAcrossConfigs(const Program& prog,
   const EngineOptions ref_opts{.num_threads = 1,
                                .scheduler = Scheduler::kSweep,
                                .index_kind = IndexKind::kHash,
-                               .scan_kernel = ScanKernel::kScalar,
-                               .value_kernel = ScanKernel::kScalar};
+                               .scan_kernel = ScanKernel::kScalar};
   RunResult<P> ref_naive = RunOnce(prog, edb, /*semi=*/false, ref_opts);
   RunResult<P> ref_semi = RunOnce(prog, edb, /*semi=*/true, ref_opts);
   ASSERT_TRUE(ref_naive.eval.converged);
@@ -132,45 +114,28 @@ void ExpectBitIdenticalAcrossConfigs(const Program& prog,
   EXPECT_EQ(ref_naive.direct_probes, 0u);
   EXPECT_EQ(ref_semi.direct_probes, 0u);
 
-  // values_batched moves with the kernel pair, but within (simd, simd)
-  // it must be one constant across tiers, threads and schedulers.
-  uint64_t vb_naive_golden = 0;
-  uint64_t vb_semi_golden = 0;
   for (IndexKind kind :
        {IndexKind::kHash, IndexKind::kDirect, IndexKind::kAuto}) {
     for (ScanKernel scan : {ScanKernel::kScalar, ScanKernel::kSimd}) {
-      for (ScanKernel values : {ScanKernel::kScalar, ScanKernel::kSimd}) {
-        for (int threads : {1, 4}) {
-          for (Scheduler sched : {Scheduler::kSweep, Scheduler::kOrdered}) {
-            SCOPED_TRACE(ConfigName(kind, scan, threads, sched) +
-                         (values == ScanKernel::kSimd ? "/vsimd" : "/vscalar"));
-            const EngineOptions opts{.num_threads = threads,
-                                     .scheduler = sched,
-                                     .index_kind = kind,
-                                     .scan_kernel = scan,
-                                     .value_kernel = values};
-            RunResult<P> naive = RunOnce(prog, edb, /*semi=*/false, opts);
-            RunResult<P> semi = RunOnce(prog, edb, /*semi=*/true, opts);
-            ASSERT_TRUE(naive.eval.converged);
-            ASSERT_TRUE(semi.eval.converged);
-            EXPECT_TRUE(naive.eval.idb.Equals(ref_naive.eval.idb));
-            EXPECT_TRUE(semi.eval.idb.Equals(ref_semi.eval.idb));
-            EXPECT_EQ(naive.pinned, ref_naive.pinned);
-            EXPECT_EQ(semi.pinned, ref_semi.pinned);
-            if (kind == IndexKind::kHash) {
-              // Forced hash must never take the offset-addressed path.
-              EXPECT_EQ(naive.direct_probes, 0u);
-              EXPECT_EQ(semi.direct_probes, 0u);
-            }
-            if (scan == ScanKernel::kSimd && values == ScanKernel::kSimd &&
-                VectorizedValuePlane<P>) {
-              if (vb_naive_golden == 0) {
-                vb_naive_golden = naive.values_batched;
-                vb_semi_golden = semi.values_batched;
-              }
-              EXPECT_EQ(naive.values_batched, vb_naive_golden);
-              EXPECT_EQ(semi.values_batched, vb_semi_golden);
-            }
+      for (int threads : {1, 4}) {
+        for (Scheduler sched : {Scheduler::kSweep, Scheduler::kOrdered}) {
+          SCOPED_TRACE(ConfigName(kind, scan, threads, sched));
+          const EngineOptions opts{.num_threads = threads,
+                                   .scheduler = sched,
+                                   .index_kind = kind,
+                                   .scan_kernel = scan};
+          RunResult<P> naive = RunOnce(prog, edb, /*semi=*/false, opts);
+          RunResult<P> semi = RunOnce(prog, edb, /*semi=*/true, opts);
+          ASSERT_TRUE(naive.eval.converged);
+          ASSERT_TRUE(semi.eval.converged);
+          EXPECT_TRUE(naive.eval.idb.Equals(ref_naive.eval.idb));
+          EXPECT_TRUE(semi.eval.idb.Equals(ref_semi.eval.idb));
+          EXPECT_EQ(naive.pinned, ref_naive.pinned);
+          EXPECT_EQ(semi.pinned, ref_semi.pinned);
+          if (kind == IndexKind::kHash) {
+            // Forced hash must never take the offset-addressed path.
+            EXPECT_EQ(naive.direct_probes, 0u);
+            EXPECT_EQ(semi.direct_probes, 0u);
           }
         }
       }
@@ -242,9 +207,8 @@ TEST(EngineIndexTiers, ProvenancePosBoolChain6) {
 }
 
 TEST(EngineIndexTiers, RepeatedVariableChecksChordalCycle12) {
-  // Repeated-variable atoms (T(X,X), E(X,X)) compile to check ops — the
-  // one join-program construct where the batched kernel's vector
-  // compare/compress path does real filtering work, so this golden pins
+  // Repeated-variable atoms (T(X,X), E(X,X)) compile to check ops, which
+  // keep the innermost level off the tight drain; this golden pins
   // `work` (which counts check-failing entries too) across the full
   // config cross. The chordal-cycle EDB gets explicit self-loops so the
   // checks both pass and fail.

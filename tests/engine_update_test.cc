@@ -24,7 +24,7 @@ constexpr const char* kTc = R"(
 
 /// The engine configurations the bit-identity contract is checked over:
 /// schedulers × threads, plus each forced index tier and the scalar
-/// kernels (the SIMD kernels are the build default).
+/// index-build scans (the SIMD scans are the build default).
 std::vector<EngineOptions> ConfigMatrix() {
   std::vector<EngineOptions> out;
   for (Scheduler sched : {Scheduler::kSweep, Scheduler::kOrdered}) {
@@ -43,7 +43,6 @@ std::vector<EngineOptions> ConfigMatrix() {
   {
     EngineOptions o;
     o.scan_kernel = ScanKernel::kScalar;
-    o.value_kernel = ScanKernel::kScalar;
     out.push_back(o);
   }
   return out;

@@ -135,6 +135,31 @@ TEST(Io, OutOfRangeIntKeyIsLoadErrorNotException) {
   EXPECT_EQ(rel.support_size(), 2u);
 }
 
+TEST(Io, HashLeadingKeyIsLoadError) {
+  // A '#' opens a comment only as a line's first byte; as a later key
+  // it would intern a symbol DumpTsv cannot write back, so every loader
+  // rejects it with the line number instead.
+  Domain dom;
+  Relation<TropS> rel(2);
+  Status s = LoadTsv<TropS>("a\tb\t1\na\t#b\t1\n", &dom, &rel,
+                            ParseDoubleValue);
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.code(), Code::kInvalidArgument);
+  EXPECT_NE(s.ToString().find("line 2"), std::string::npos) << s.ToString();
+
+  Relation<BoolS> brel(2);
+  Status bs = LoadTsvBool("a #b\n", &dom, &brel);
+  ASSERT_FALSE(bs.ok());
+  EXPECT_EQ(bs.code(), Code::kInvalidArgument);
+  EXPECT_NE(bs.ToString().find("line 1"), std::string::npos)
+      << bs.ToString();
+
+  // '#' inside a token is an ordinary symbol byte.
+  Relation<TropS> ok(2);
+  EXPECT_TRUE(LoadTsv<TropS>("a b#c 1\n", &dom, &ok, ParseDoubleValue).ok());
+  EXPECT_EQ(ok.support_size(), 1u);
+}
+
 TEST(Io, OutOfRangeUintValueIsParseError) {
   Domain dom;
   Relation<NatS> rel(1);
