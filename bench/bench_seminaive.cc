@@ -263,10 +263,9 @@ void PrintIndexTierTable() {
       " the four index counters are pinned across every combination)\n");
 }
 
-// Parity-split shortest paths: a wide multi-SCC stratified program — a
-// base group, a mutually recursive Odd/Even group (whose deltas drain in
-// alternation, so the triggered set skips one rule per round), and a
-// downstream recursive closure group.
+// Parity-split shortest paths: a multi-stratum program — a mutually
+// recursive Odd/Even pair (cheapest odd-/even-length walks) feeding a
+// quadratic closure T downstream.
 constexpr const char* kParityPaths = R"(
   edb E/2.
   idb Odd/2. idb Even/2. idb T/2.
@@ -275,69 +274,6 @@ constexpr const char* kParityPaths = R"(
   Even(X,Y) :- Odd(X,Z) * E(Z,Y).
   T(X,Y) :- Even(X,Y) ; Odd(X,Y) ; T(X,Z) * T(Z,Y).
 )";
-
-// Triggered-rule scheduling: sweep re-evaluates every rule per global
-// iteration; ordered runs one local fixpoint per reliance group and only
-// re-evaluates triggered rules. Identical fixpoints; on multi-group
-// programs ordered skips drained rules, and its join work differs from
-// the sweep's (usually less; quadratic closures over a different delta
-// schedule can tip slightly the other way).
-void PrintSchedulerTable() {
-  Banner("triggered-rule scheduling (EngineOptions::scheduler)",
-         "reliance-graph SCC condensation with per-group local fixpoints");
-  struct Row {
-    std::string name;
-    uint64_t sweep_work, ordered_work;
-    int sweep_steps, ordered_steps;
-    uint64_t groups, group_iters, skipped;
-    bool agree;
-  };
-  std::vector<Row> rows;
-  auto measure = [&](const std::string& name, const char* text, int n,
-                     int m, int seed) {
-    Domain dom;
-    auto prog = ParseProgram(text, &dom).value();
-    Graph g = RandomGraph(n, m, seed);
-    std::vector<ConstId> ids = InternVertices(n, &dom);
-    EdbInstance<TropS> edb(prog);
-    LoadEdges<TropS>(g, ids, [](const Edge& e) { return e.weight; },
-                     &edb.pops(prog.FindPredicate("E")));
-    Engine<TropS> sweep(prog, edb);
-    Engine<TropS> ordered(prog, edb,
-                          EngineOptions{.scheduler = Scheduler::kOrdered});
-    auto rs = sweep.SemiNaive(1 << 20);
-    auto ro = ordered.SemiNaive(1 << 20);
-    rows.push_back(Row{
-        name, rs.work, ro.work, rs.steps, ro.steps,
-        static_cast<uint64_t>(ordered.reliance().num_groups()),
-        ordered.group_iterations(), ordered.rules_skipped(),
-        rs.idb.Equals(ro.idb)});
-  };
-  const int n = BenchSmokeMode() ? 48 : 128;
-  measure("APSP/Trop random-" + std::to_string(n), R"(
-      edb E/2. idb T/2. T(X,Y) :- E(X,Y) ; T(X,Z) * E(Z,Y).)",
-          n, 3 * n, /*seed=*/9);
-  measure("parity/Trop random-" + std::to_string(n), kParityPaths, n, 3 * n,
-          /*seed=*/9);
-  std::printf("%-24s %-12s %-12s %-11s %-7s %-7s %-8s %-6s\n", "workload",
-              "sweep-work", "ord-work", "steps(s/o)", "groups", "iters",
-              "skipped", "agree");
-  for (const Row& r : rows) {
-    std::printf("%-24s %-12llu %-12llu %3d/%-7d %-7llu %-7llu %-8llu %-6s\n",
-                r.name.c_str(),
-                static_cast<unsigned long long>(r.sweep_work),
-                static_cast<unsigned long long>(r.ordered_work),
-                r.sweep_steps, r.ordered_steps,
-                static_cast<unsigned long long>(r.groups),
-                static_cast<unsigned long long>(r.group_iters),
-                static_cast<unsigned long long>(r.skipped),
-                r.agree ? "yes" : "NO");
-  }
-  std::printf(
-      "(single-group APSP: ordered replays the sweep trace bit for bit;\n"
-      " the multi-SCC parity program converges to the same fixpoint with\n"
-      " a nonzero triggered-set skip count)\n");
-}
 
 template <bool kSemi>
 void BM_Apsp(benchmark::State& state) {
@@ -434,41 +370,6 @@ BENCHMARK(BM_ApspMt<true>)
     ->Args({128, 2})
     ->Args({128, 4})
     ->Args({128, 8});
-/// APSP / parity semi-naive under each scheduler: range(0) = n,
-/// range(1) = 1 for ordered, 0 for sweep.
-template <bool kParity>
-void BM_SchedArg(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const bool ordered = state.range(1) != 0;
-  Domain dom;
-  auto prog = kParity ? ParseProgram(kParityPaths, &dom).value()
-                      : ApspProgram(&dom).value();
-  Graph g = RandomGraph(n, 3 * n, /*seed=*/9);
-  std::vector<ConstId> ids = InternVertices(n, &dom);
-  EdbInstance<TropS> edb(prog);
-  LoadEdges<TropS>(g, ids, [](const Edge& e) { return e.weight; },
-                   &edb.pops(prog.FindPredicate("E")));
-  Engine<TropS> engine(
-      prog, edb,
-      EngineOptions{.scheduler = ordered ? Scheduler::kOrdered
-                                         : Scheduler::kSweep});
-  for (auto _ : state) {
-    auto r = engine.SemiNaive(1 << 20);
-    benchmark::DoNotOptimize(r.idb.TotalSupport());
-  }
-  state.counters["rules_skipped"] =
-      benchmark::Counter(static_cast<double>(engine.rules_skipped()),
-                         benchmark::Counter::kAvgIterations);
-}
-
-BENCHMARK(BM_SchedArg<false>)
-    ->Name("apsp_seminaive_sched")
-    ->Args({128, 0})
-    ->Args({128, 1});
-BENCHMARK(BM_SchedArg<true>)
-    ->Name("parity_seminaive_sched")
-    ->Args({128, 0})
-    ->Args({128, 1});
 BENCHMARK(BM_QuadraticTc<false>)->Name("quad_tc_naive")->Arg(32)->Arg(64);
 BENCHMARK(BM_QuadraticTc<true>)->Name("quad_tc_seminaive")->Arg(32)->Arg(64);
 BENCHMARK(BM_ApspIndexCache<false>)
@@ -531,8 +432,8 @@ void WriteJson() {
                          [](int n) { return RandomGraph(n, 3 * n, /*seed=*/9); },
                          [](const Edge& e) { return e.weight; },
                          {smoke ? 32 : 64, smoke ? 64 : 128});
-  // Multi-SCC stratified workload: the ordered rows journal nonzero
-  // rules_skipped (the Odd/Even deltas drain in alternation).
+  // Multi-stratum workload: a mutually recursive Odd/Even pair feeding a
+  // quadratic closure.
   WriteEngineJson<TropS>("seminaive_parity",
                          "parity-split APSP/Trop random graph (seed 9, m = 3n)",
                          [](Domain* dom) {
@@ -550,7 +451,6 @@ int main(int argc, char** argv) {
   datalogo::PrintTables();
   datalogo::PrintIndexCachingTable();
   datalogo::PrintParallelTable();
-  datalogo::PrintSchedulerTable();
   datalogo::PrintIndexTierTable();
   datalogo::WriteJson();
   benchmark::Initialize(&argc, argv);

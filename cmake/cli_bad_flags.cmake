@@ -3,7 +3,10 @@
 # and a message naming the flag — never die on a signal (an uncaught
 # std::stoi exception used to reach abort()) and never be accepted
 # silently. The boundary values of each accepted range must still run.
-# Malformed --edb/--bedb use and '#'-leading keys must exit 1.
+# Malformed --edb/--bedb use, '#'-leading keys, an unknown flag
+# (--scheduler) and a negated POPS atom (which only the grounded engine
+# evaluates) must exit 1 with a message; an order comparison over
+# symbol keys is false, not an abort, and must run (exit 0).
 #
 # Invoked by CTest as:
 #   cmake -DCLI=<datalogo_cli> -DPROGRAM=<.dl> -DEDGES=<.tsv>
@@ -98,5 +101,46 @@ expect_exit_1("'#'-leading EDB key" --edb E=${hash_tsv})
 expect_exit_1("'#'-leading update key" --edb E=${EDGES}
               --update=${hash_batch})
 file(REMOVE ${hash_tsv} ${hash_batch})
+
+# Runs datalogo_cli on `program` over EDGES and requires exit code
+# `want_rc` with `want_err` somewhere in stderr (empty: stderr unchecked).
+function(expect_run label want_rc want_err program)
+  execute_process(
+    COMMAND ${CLI} ${program} --semiring=trop --edb E=${EDGES} ${ARGN}
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err
+    RESULT_VARIABLE rc)
+  if(NOT rc STREQUAL "${want_rc}")
+    message(FATAL_ERROR "datalogo_cli ${label}: expected exit ${want_rc}, "
+                        "got ${rc}; stderr was:\n${err}")
+  endif()
+  if(NOT want_err STREQUAL "")
+    string(FIND "${err}" "${want_err}" at)
+    if(at EQUAL -1)
+      message(FATAL_ERROR "datalogo_cli ${label}: stderr lacks "
+                          "'${want_err}'; it was:\n${err}")
+    endif()
+  endif()
+  set(last_out "${out}" PARENT_SCOPE)
+endfunction()
+
+expect_run("--scheduler=ordered" 1 "unknown flag" ${PROGRAM}
+           --scheduler=ordered)
+
+set(neg_program ${CMAKE_CURRENT_BINARY_DIR}/cli_bad_flags_negated.dl)
+file(WRITE ${neg_program} "edb E/2.\nidb T/2.\nT(X,Y) :- !E(X,Y).\n")
+expect_run("negated POPS atom" 1 "grounded engine" ${neg_program})
+
+# EDGES has symbol keys (v0, v1, ...), so X < Y is false on every row
+# and T comes out empty.
+set(cmp_program ${CMAKE_CURRENT_BINARY_DIR}/cli_bad_flags_symbol_cmp.dl)
+file(WRITE ${cmp_program}
+     "edb E/2.\nidb T/2.\nT(X,Y) :- { E(X,Y) | X < Y }.\n")
+expect_run("symbol order comparison" 0 "" ${cmp_program} --seminaive)
+string(FIND "${last_out}" "v0" at)
+if(NOT at EQUAL -1)
+  message(FATAL_ERROR "symbol order comparison derived rows:\n${last_out}")
+endif()
+file(REMOVE ${neg_program} ${cmp_program})
 
 message(STATUS "bad flags: every malformed value rejected with a message")

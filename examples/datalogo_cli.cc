@@ -2,8 +2,8 @@
 //
 //   datalogo_cli PROGRAM.dl --semiring=trop
 //       --edb E=edges.tsv --bedb G=flags.tsv [--seminaive] [--advise]
-//       [--max-steps=N] [--threads=N] [--scheduler=sweep|ordered]
-//       [--index=hash|direct|auto] [--scan=scalar|simd] [--update=BATCH]
+//       [--max-steps=N] [--threads=N] [--index=hash|direct|auto]
+//       [--scan=scalar|simd] [--update=BATCH]
 //
 // Semirings: bool, nat, trop, tropnat, fuzzy, viterbi.
 // --max-steps takes 1..INT_MAX, --threads 0..1024 (0 = one per core);
@@ -18,6 +18,9 @@
 //   + PRED key...           insert a Boolean-EDB fact
 //   - PRED key...           delete a fact (either kind)
 // '#' comments and blank lines are skipped.
+//
+// The relational engine evaluates programs without negated POPS atoms;
+// a program with `!R(..)` in a product is rejected with exit 1.
 #include <charconv>
 #include <climits>
 #include <cstdio>
@@ -42,10 +45,6 @@ struct CliOptions {
   bool advise = false;
   int max_steps = 100000;
   int threads = 1;  // 0 = one per hardware core; results are identical
-  // sweep = global rule sweeps; ordered = reliance-group local fixpoints
-  // with triggered rules. Same fixpoint either way; the stability index
-  // comment line can differ on multi-group programs.
-  Scheduler scheduler = Scheduler::kSweep;
   // Index tier and index-build scan kernel (engine.h / simd.h). Output
   // is identical for every combination — these exist for benchmarking
   // and the byte-identity smoke test.
@@ -129,16 +128,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* opt) {
     } else if (arg.rfind("--threads=", 0) == 0) {
       if (!ParseIntFlag("--threads", value_of("--threads="), 0, kMaxThreads,
                         &opt->threads)) {
-        return false;
-      }
-    } else if (arg.rfind("--scheduler=", 0) == 0) {
-      std::string name = value_of("--scheduler=");
-      if (name == "sweep") {
-        opt->scheduler = Scheduler::kSweep;
-      } else if (name == "ordered") {
-        opt->scheduler = Scheduler::kOrdered;
-      } else {
-        std::fprintf(stderr, "unknown scheduler: %s\n", name.c_str());
         return false;
       }
     } else if (arg.rfind("--index=", 0) == 0) {
@@ -246,6 +235,7 @@ int RunAs(const CliOptions& opt, const std::string& text,
     return 1;
   }
   Status valid = ValidateProgram(prog.value());
+  if (valid.ok()) valid = CheckEngineSupport(prog.value());
   if (!valid.ok()) {
     std::fprintf(stderr, "%s\n", valid.ToString().c_str());
     return 1;
@@ -298,7 +288,6 @@ int RunAs(const CliOptions& opt, const std::string& text,
 
   Engine<P> engine(prog.value(), edb,
                    EngineOptions{.num_threads = opt.threads,
-                                 .scheduler = opt.scheduler,
                                  .index_kind = opt.index_kind,
                                  .scan_kernel = opt.scan_kernel});
   EvalResult<P> result = [&] {
@@ -364,7 +353,7 @@ int main(int argc, char** argv) {
                  "usage: datalogo_cli PROGRAM.dl [--semiring=NAME] "
                  "[--edb P=FILE]... [--bedb P=FILE]... [--seminaive] "
                  "[--advise] [--max-steps=N] [--threads=N] "
-                 "[--scheduler=sweep|ordered] [--index=hash|direct|auto] "
+                 "[--index=hash|direct|auto] "
                  "[--scan=scalar|simd] [--update=BATCH]\n"
                  "semirings: bool nat trop tropnat fuzzy viterbi\n");
     return 1;

@@ -1,6 +1,5 @@
-// Strongly connected components by Tarjan's algorithm, shared by the
-// predicate-level stratifier (src/datalog/stratify.cc) and the rule-level
-// reliance scheduler (src/datalog/reliance.h).
+// Strongly connected components by Tarjan's algorithm, used by the
+// predicate-level stratifier (src/datalog/stratify.cc).
 //
 // The traversal is fully iterative (explicit DFS frames, no recursion), so
 // component extraction is safe on adversarially deep graphs — a linear
@@ -10,7 +9,7 @@
 // order of the condensation — for every edge u → v with comp(u) ≠
 // comp(v), comp(v) < comp(u). Iterating component ids in DECREASING
 // order therefore visits sources (producers) before the components that
-// depend on them; both consumers rely on this.
+// depend on them; the stratifier relies on this.
 #ifndef DATALOGO_CORE_SCC_H_
 #define DATALOGO_CORE_SCC_H_
 

@@ -10,6 +10,8 @@
 #ifndef DATALOGO_DATALOG_AST_H_
 #define DATALOGO_DATALOG_AST_H_
 
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -58,12 +60,39 @@ struct Condition {
   enum class Kind {
     kBoolAtom,     ///< B(t…) must hold
     kNegBoolAtom,  ///< ¬B(t…) must hold
-    kCompare,      ///< t₁ op t₂ on keys (order comparisons need integers)
+    /// t₁ op t₂ on keys. = and != compare constants; <, <=, > and >=
+    /// compare integer values and are false when either side is not an
+    /// integer constant (e.g. a symbol key) — see EvalCompare.
+    kCompare,
   } kind = Kind::kBoolAtom;
   Atom atom;            ///< for (Neg)BoolAtom
   CmpOp op = CmpOp::kEq;
   Term lhs, rhs;        ///< for Compare
 };
+
+/// Truth value of the ground comparison `l op r`, the one evaluator every
+/// engine shares. kEq/kNe compare constant ids; the order operators
+/// compare the constants' integer values and are false when either side
+/// is not an integer constant.
+inline bool EvalCompare(CmpOp op, ConstId l, ConstId r, const Domain& dom) {
+  if (op == CmpOp::kEq) return l == r;
+  if (op == CmpOp::kNe) return l != r;
+  const std::optional<int64_t> li = dom.AsInt(l);
+  const std::optional<int64_t> ri = dom.AsInt(r);
+  if (!li.has_value() || !ri.has_value()) return false;
+  switch (op) {
+    case CmpOp::kLt:
+      return *li < *ri;
+    case CmpOp::kLe:
+      return *li <= *ri;
+    case CmpOp::kGt:
+      return *li > *ri;
+    case CmpOp::kGe:
+      return *li >= *ri;
+    default:
+      return false;
+  }
+}
 
 /// One sum-product { R₁(X₁) ⊗ … ⊗ R_m(X_m) | Φ } (Def. 2.5). The bound
 /// variables (those not in the head) are ⊕-aggregated over.

@@ -22,7 +22,6 @@
 #include "src/core/thread_pool.h"
 #include "src/datalog/ast.h"
 #include "src/datalog/instance.h"
-#include "src/datalog/reliance.h"
 #include "src/relation/relation.h"
 #include "src/semiring/boolean.h"
 #include "src/semiring/deletion.h"
@@ -41,23 +40,27 @@ struct EvalResult {
   uint64_t work = 0;
 };
 
-/// Rule-scheduling policy for the fixpoint loops.
-enum class Scheduler {
-  /// Re-evaluate every rule on every global iteration — the engine's
-  /// original behaviour, preserved bit-for-bit (fixpoints, `work`, all
-  /// index counters).
-  kSweep,
-  /// Condense the rule reliance graph (reliance.h) into SCC groups and
-  /// run one LOCAL fixpoint per group in topological (producers-first)
-  /// order; inside a group, only rules whose body predicates actually
-  /// received a delta last round are re-evaluated (a triggered set that
-  /// drains with the deltas). Fixpoints are identical to kSweep; on
-  /// multi-group programs the local deltas are smaller and dead rules
-  /// are skipped, so `steps`, `work` and index counters may legitimately
-  /// be LOWER than kSweep's. On single-group programs (every rule
-  /// mutually recursive) the two schedulers are bit-identical.
-  kOrdered,
-};
+/// OK iff the relational Engine can evaluate `prog`. It cannot evaluate
+/// negated POPS atoms (`!R(..)` applies the POPS's Not, which is not
+/// ⊥-preserving, so support-based joins miss tuples outside the stored
+/// support); those programs need the grounded engine (grounder.h).
+/// Engine's constructor aborts on them as a library-misuse guard, so
+/// callers holding untrusted programs check here first.
+inline Status CheckEngineSupport(const Program& prog) {
+  for (const Rule& rule : prog.rules()) {
+    for (const SumProduct& sp : rule.disjuncts) {
+      for (const Atom& a : sp.atoms) {
+        if (!a.negated) continue;
+        return InvalidArgument(
+            "negated POPS atom !" + prog.predicate(a.pred).name +
+            " in a rule for " + prog.predicate(rule.head.pred).name +
+            ": the relational engine cannot evaluate it; negation needs "
+            "the grounded engine (grounder.h)");
+      }
+    }
+  }
+  return Status::Ok();
+}
 
 /// Tuning knobs for Engine.
 struct EngineOptions {
@@ -78,11 +81,6 @@ struct EngineOptions {
   /// deterministic reduce tree — depends only on the data, so results
   /// are identical at every thread count, not merely per thread count.
   int shard_rows = 256;
-  /// Rule scheduling for Naive/SemiNaive (see Scheduler). Orthogonal to
-  /// num_threads: the ordered scheduler routes each group round through
-  /// the same prepare/execute/reduce phases, so its results and counters
-  /// are identical at every thread count too.
-  Scheduler scheduler = Scheduler::kSweep;
   /// Index-tier policy (relation.h): kAuto picks a direct (offset-
   /// addressed) index per (relation, key-spec) when the key column is a
   /// dense ConstId range, else hash; kHash/kDirect force one tier.
@@ -162,7 +160,6 @@ class Engine {
     const IndexConfig idx_cfg{options_.index_kind, options_.scan_kernel};
     pops_cache_.set_config(idx_cfg);
     bool_cache_.set_config(idx_cfg);
-    reliance_ = BuildRelianceGroups(prog);
     Compile();
     int threads = options_.num_threads;
     if (threads == 0) {
@@ -211,27 +208,12 @@ class Engine {
   /// mutate during a run, so after the first build per (relation, key)
   /// this must not move — the regression surface for cache-hit paths
   /// that silently re-scan full columns (asserted in
-  /// engine_scheduler_test).
+  /// engine_index_test).
   uint64_t edb_index_scan_rows() const { return edb_index_scan_rows_; }
-
-  /// The condensed rule-reliance structure the ordered scheduler executes
-  /// (computed for every engine; kSweep simply ignores it).
-  const RelianceGroups& reliance() const { return reliance_; }
-  /// Local fixpoint rounds executed by the ordered scheduler so far: seed
-  /// applications plus differential rounds, summed over groups.
-  uint64_t group_iterations() const { return group_iterations_; }
-  /// Triggered-set savings: rule evaluations the ordered scheduler skipped
-  /// because none of the rule's body predicates held a live delta.
-  uint64_t rules_skipped() const { return rules_skipped_; }
 
   /// Algorithm 1: J ← F(J) from ⊥ until fixpoint (or budget).
   EvalResult<P> Naive(int max_steps) const {
-    if (options_.scheduler == Scheduler::kOrdered) {
-      return NaiveOrdered(max_steps);
-    }
-    std::vector<int> all(compiled_.size());
-    for (std::size_t i = 0; i < all.size(); ++i) all[i] = static_cast<int>(i);
-    return NaiveWithRules(all, IdbInstance<P>(*prog_), max_steps);
+    return NaiveWithRules(all_rules_, IdbInstance<P>(*prog_), max_steps);
   }
 
   /// Naive evaluation restricted to a rule subset, iterating from (and
@@ -250,19 +232,11 @@ class Engine {
     // Units are loop-invariant: the resolvers capture `j` itself, whose
     // Relation objects stay stable across iterations (TakeContentsFrom
     // moves contents, not objects) — build once, reuse every round.
-    const std::vector<EvalUnit> units =
-        pool_ ? NaiveUnits(rule_ids, j) : std::vector<EvalUnit>{};
+    const std::vector<EvalUnit> units = NaiveUnits(rule_ids, j);
     for (int t = 0; t < max_steps; ++t) {
       SweepCaches();
       if (t > 0) next.CopyContentsFrom(frozen);
-      if (pool_) {
-        ApplyUnitsParallel(units, &next, &work);
-      } else {
-        for (int r : rule_ids) {
-          DLO_CHECK(r >= 0 && r < static_cast<int>(compiled_.size()));
-          ApplyRule(compiled_[r], j, &next, &work);
-        }
-      }
+      ApplyUnits(units, &next, &work);
       if (next.Equals(j)) {
         return {std::move(j), t, true, work};
       }
@@ -315,9 +289,6 @@ class Engine {
   EvalResult<P> SemiNaive(int max_steps) const
     requires CompleteDistributiveDioid<P>
   {
-    if (options_.scheduler == Scheduler::kOrdered) {
-      return SemiNaiveOrdered(max_steps);
-    }
     uint64_t work = 0;
     IdbInstance<P> t_old(*prog_);   // T(t-1)
     IdbInstance<P> t_new(*prog_);   // T(t)
@@ -341,60 +312,15 @@ class Engine {
     // full content move per round cheaper than staging through a
     // next_delta instance.
     IdbInstance<P> candidate(*prog_);
-    // Units enumerate (rule, disjunct, occurrence) in the exact order of
-    // the sequential loop below; ApplyUnitsParallel prepares and reduces
-    // in that order, so counters and fixpoints agree. Loop-invariant:
-    // the resolvers capture the persistent t_new/delta/t_old instances,
-    // whose Relation objects stay stable across iterations.
-    std::vector<EvalUnit> units;
-    if (pool_) {
-      for (const CompiledRule& cr : compiled_) {
-        for (const CompiledDisjunct& cd : cr.disjuncts) {
-          const int occurrences = static_cast<int>(cd.idb_atoms.size());
-          if (occurrences == 0) continue;  // EDB-only part E_i, Eq. (65)
-          const CompiledDisjunct* cdp = &cd;
-          for (int ell = 0; ell < occurrences; ++ell) {
-            units.push_back(EvalUnit{
-                &cr, cdp,
-                [this, cdp, ell, &t_new, &delta,
-                 &t_old](int atom_index) -> const Relation<P>& {
-                  int pred = cdp->sp->atoms[atom_index].pred;
-                  int occ = cdp->occ_of_atom[atom_index];
-                  if (occ < 0) return edb_->pops(pred);
-                  if (occ < ell) return t_new.idb(pred);
-                  if (occ == ell) return delta.idb(pred);
-                  return t_old.idb(pred);
-                }});
-          }
-        }
-      }
-    }
+    // Loop-invariant units: the resolvers capture the persistent
+    // t_new/delta/t_old instances, whose Relation objects stay stable
+    // across iterations.
+    const std::vector<EvalUnit> units = DifferentialUnits(t_new, delta, t_old);
     for (int t = 1; t < max_steps; ++t) {
       SweepCaches();
       // Candidate C_i = ⊕_ℓ G_i(.., δ_ℓ, ..) using new/old T per Eq. (64).
       candidate.ClearAll();
-      if (pool_) {
-        ApplyUnitsParallel(units, &candidate, &work);
-      } else {
-        for (const CompiledRule& cr : compiled_) {
-          for (const CompiledDisjunct& cd : cr.disjuncts) {
-            const int occurrences = static_cast<int>(cd.idb_atoms.size());
-            if (occurrences == 0) continue;  // EDB-only part E_i, Eq. (65)
-            for (int ell = 0; ell < occurrences; ++ell) {
-              auto resolver = [&](int atom_index) -> const Relation<P>& {
-                int pred = cd.sp->atoms[atom_index].pred;
-                int occ = cd.occ_of_atom[atom_index];
-                if (occ < 0) return edb_->pops(pred);
-                if (occ < ell) return t_new.idb(pred);
-                if (occ == ell) return delta.idb(pred);
-                return t_old.idb(pred);
-              };
-              EvalDisjunct(cd, resolver,
-                           &candidate.idb(cr.rule->head.pred), &work);
-            }
-          }
-        }
-      }
+      ApplyUnits(units, &candidate, &work);
       // δ(t) = C ⊖ T(t), per row of C's support — into `delta` itself.
       delta.ClearAll();
       bool all_empty = true;
@@ -556,12 +482,6 @@ class Engine {
     bool drain_innermost = false;
     std::vector<int> idb_atoms;  ///< indexes of IDB atoms in sp->atoms
     std::vector<int> occ_of_atom;  ///< atom index → IDB occurrence, or -1
-    /// Like idb_atoms/occ_of_atom, restricted to atoms whose predicate is
-    /// a head of this rule's own reliance group — the only atoms that can
-    /// carry a delta during the group's local fixpoint (everything else a
-    /// group reads is already converged, so it resolves to T(t)).
-    std::vector<int> group_atoms;
-    std::vector<int> group_occ_of_atom;  ///< atom index → group occ, or -1
     std::vector<ValueSource> head_sources;  ///< one per head argument
     int scratch_id = -1;  ///< into scratch_ (reusable per-disjunct buffers)
   };
@@ -611,7 +531,7 @@ class Engine {
     std::vector<std::unique_ptr<RelationIndex<BoolS>>> local_bool;
   };
 
-  /// One unit of parallel evaluation: a disjunct plus the resolver that
+  /// One unit of evaluation for ApplyUnits: a disjunct plus the resolver that
   /// maps its IDB atoms to concrete relation instances (naive: the
   /// current J; semi-naive: the Eq. (64) new/delta/old split for one
   /// occurrence index).
@@ -636,8 +556,6 @@ class Engine {
     for (std::size_t rule_index = 0; rule_index < prog_->rules().size();
          ++rule_index) {
       const Rule& rule = prog_->rules()[rule_index];
-      const std::vector<int>& own_group_heads =
-          reliance_.group_heads[reliance_.group_of_rule[rule_index]];
       CompiledRule cr;
       cr.rule = &rule;
       for (std::size_t d = 0; d < rule.disjuncts.size(); ++d) {
@@ -774,17 +692,6 @@ class Engine {
         for (std::size_t k = 0; k < cd.idb_atoms.size(); ++k) {
           cd.occ_of_atom[cd.idb_atoms[k]] = static_cast<int>(k);
         }
-        // Group-restricted occurrence map for the ordered scheduler's
-        // local differential rounds (group_heads are sorted).
-        cd.group_occ_of_atom.assign(sp.atoms.size(), -1);
-        for (int atom : cd.idb_atoms) {
-          if (std::binary_search(own_group_heads.begin(),
-                                 own_group_heads.end(),
-                                 sp.atoms[atom].pred)) {
-            cd.group_occ_of_atom[atom] = static_cast<int>(cd.group_atoms.size());
-            cd.group_atoms.push_back(atom);
-          }
-        }
 
         // Head slots: range restriction (validate.cc) guarantees every
         // head variable is bound once all generators have run.
@@ -808,6 +715,7 @@ class Engine {
         cr.disjuncts.push_back(std::move(cd));
       }
       compiled_.push_back(std::move(cr));
+      all_rules_.push_back(static_cast<int>(rule_index));
     }
   }
 
@@ -821,23 +729,11 @@ class Engine {
   /// F(J) evaluated into `out` (fresh instance), counting join work.
   void ApplyIco(const IdbInstance<P>& j, IdbInstance<P>* out,
                 uint64_t* work) const {
-    if (pool_) {
-      std::vector<int> all(compiled_.size());
-      for (std::size_t i = 0; i < all.size(); ++i) {
-        all[i] = static_cast<int>(i);
-      }
-      std::vector<EvalUnit> units = NaiveUnits(all, j);
-      ApplyUnitsParallel(units, out, work);
-      return;
-    }
-    for (const CompiledRule& cr : compiled_) {
-      ApplyRule(cr, j, out, work);
-    }
+    ApplyUnits(NaiveUnits(all_rules_, j), out, work);
   }
 
   /// The naive-evaluation units for a rule subset: every disjunct of every
-  /// listed rule, resolving IDB atoms against `j` — in the exact order the
-  /// sequential ApplyRule loop evaluates them.
+  /// listed rule in list order, resolving IDB atoms against `j`.
   std::vector<EvalUnit> NaiveUnits(const std::vector<int>& rule_ids,
                                    const IdbInstance<P>& j) const {
     std::vector<EvalUnit> units;
@@ -860,180 +756,9 @@ class Engine {
     return units;
   }
 
-  /// Ordered naive evaluation: one local naive fixpoint per reliance
-  /// group, producers first, with everything below frozen — the
-  /// rule-level analogue of stratified evaluation (stratified.h), with
-  /// groups finer than strata. Reaches the same least fixpoint as the
-  /// global sweep: the condensation order makes every predicate a group
-  /// reads (beyond its own heads) final before the group runs. `steps`
-  /// sums the local stability indexes; max_steps is a TOTAL budget
-  /// across groups, so ordered never exceeds the sweep's iteration cap.
-  EvalResult<P> NaiveOrdered(int max_steps) const {
-    IdbInstance<P> j(*prog_);
-    int steps = 0;
-    uint64_t work = 0;
-    for (int g = 0; g < reliance_.num_groups(); ++g) {
-      if (steps >= max_steps) return {std::move(j), max_steps, false, work};
-      EvalResult<P> r =
-          NaiveWithRules(reliance_.groups[g], j, max_steps - steps);
-      steps += r.steps;
-      work += r.work;
-      group_iterations_ +=
-          static_cast<uint64_t>(r.steps) + (r.converged ? 1 : 0);
-      if (!r.converged) return {std::move(r.idb), max_steps, false, work};
-      j = std::move(r.idb);
-    }
-    return {std::move(j), steps, true, work};
-  }
-
-  /// The ordered scheduler's differential evaluation: per reliance group,
-  /// a seed application of the group's rules over the accumulated T
-  /// (δ_g = F_g(T) ⊖ T over the group's heads), then — for recursive
-  /// groups only — local semi-naive rounds (Eq. 64/65 restricted to the
-  /// occurrences of the group's own heads) in which only TRIGGERED rules
-  /// run: a rule re-evaluates iff some group-head predicate it reads
-  /// still holds a live delta. Deltas drain through the shared `delta`
-  /// instance; rules whose inputs have drained count into rules_skipped()
-  /// instead of being evaluated.
-  ///
-  /// Soundness: lower-group predicates are constants of F_g by the
-  /// condensation order, so the differential expansion over group
-  /// occurrences is exactly Eq. (64) for F_g; the warm-start invariant
-  /// F_g(T_prev) ≼ T holds after the seed by x ⊕ (y ⊖ x) ⊒ y and is then
-  /// maintained as in the global algorithm (Theorem 6.4). For a single
-  /// recursive rule (every golden recursion) the local trace replays the
-  /// global one operation for operation — same seed, same rounds, same
-  /// ⊖ scan and merge orders — so fixpoints, steps, `work` and index
-  /// counters are bit-identical to kSweep there.
-  EvalResult<P> SemiNaiveOrdered(int max_steps) const
-    requires CompleteDistributiveDioid<P>
-  {
-    uint64_t work = 0;
-    int steps = 0;
-    IdbInstance<P> t_old(*prog_);  // T before the last local merge
-    IdbInstance<P> t_new(*prog_);  // the accumulated T across groups
-    // Live deltas of the running group. Like the sweep scheduler, every
-    // δ — the seed's and each local round's — is diffed directly into
-    // `delta` (ClearPreds + DiffRows), keeping the delta relations on the
-    // Clear-plus-append mutation pattern the index cache refreshes
-    // incrementally.
-    IdbInstance<P> delta(*prog_);
-    IdbInstance<P> candidate(*prog_);
-    std::vector<int> triggered;
-
-    for (int g = 0; g < reliance_.num_groups(); ++g) {
-      const std::vector<int>& rules = reliance_.groups[g];
-      const std::vector<int>& heads = reliance_.group_heads[g];
-      if (steps >= max_steps) {
-        return {std::move(t_new), max_steps, false, work};
-      }
-
-      // Seed: C = F_g(T), δ = C ⊖ T over the group's heads. For the
-      // first group T = 0, making this exactly the global t = 0 step.
-      candidate.ClearPreds(heads);
-      if (pool_) {
-        ApplyUnitsParallel(NaiveUnits(rules, t_new), &candidate, &work);
-      } else {
-        for (int r : rules) ApplyRule(compiled_[r], t_new, &candidate, &work);
-      }
-      ++steps;
-      ++group_iterations_;
-      delta.ClearPreds(heads);  // may hold stale rows of a shared head
-      bool any_delta = false;
-      for (int pred : heads) {
-        if (DiffRows(candidate.idb(pred), t_new.idb(pred),
-                     &delta.idb(pred))) {
-          any_delta = true;
-        }
-      }
-      if (!any_delta) continue;
-      t_old.CopyPredsFrom(t_new, heads);
-      for (int pred : heads) MergeRows(delta.idb(pred), &t_new.idb(pred));
-      if (!reliance_.group_recursive[g]) continue;  // nothing can retrigger
-
-      // Local differential rounds over the group.
-      bool drained = false;
-      while (steps < max_steps) {
-        SweepCaches();
-        triggered.clear();
-        for (int r : rules) {
-          bool fire = false;
-          for (int pred : reliance_.rule_body_idb[r]) {
-            if (delta.HasSupport(pred) &&
-                std::binary_search(heads.begin(), heads.end(), pred)) {
-              fire = true;
-              break;
-            }
-          }
-          if (fire) {
-            triggered.push_back(r);
-          } else {
-            ++rules_skipped_;
-          }
-        }
-        if (triggered.empty()) {  // live deltas feed no rule of this group
-          drained = true;
-          break;
-        }
-        ++steps;
-        ++group_iterations_;
-        candidate.ClearPreds(heads);
-        if (pool_) {
-          BuildGroupUnits(triggered, t_new, delta, t_old, &group_units_);
-          ApplyUnitsParallel(group_units_, &candidate, &work);
-        } else {
-          for (int r : triggered) {
-            const CompiledRule& cr = compiled_[r];
-            for (const CompiledDisjunct& cd : cr.disjuncts) {
-              // occurrences == 0: the disjunct reads nothing the group
-              // still moves — its one-shot contribution was the seed's.
-              const int occurrences =
-                  static_cast<int>(cd.group_atoms.size());
-              for (int ell = 0; ell < occurrences; ++ell) {
-                auto resolver = [&](int atom_index) -> const Relation<P>& {
-                  const int pred = cd.sp->atoms[atom_index].pred;
-                  if (prog_->predicate(pred).kind != PredKind::kIdb) {
-                    return edb_->pops(pred);
-                  }
-                  const int occ = cd.group_occ_of_atom[atom_index];
-                  if (occ < 0 || occ < ell) return t_new.idb(pred);
-                  if (occ == ell) return delta.idb(pred);
-                  return t_old.idb(pred);
-                };
-                EvalDisjunct(cd, resolver,
-                             &candidate.idb(cr.rule->head.pred), &work);
-              }
-            }
-          }
-        }
-        // δ(t) = C ⊖ T(t) over the group's heads — into `delta` itself.
-        delta.ClearPreds(heads);
-        bool all_empty = true;
-        for (int pred : heads) {
-          if (DiffRows(candidate.idb(pred), t_new.idb(pred),
-                       &delta.idb(pred))) {
-            all_empty = false;
-          }
-        }
-        if (all_empty) {
-          drained = true;
-          break;
-        }
-        t_old.CopyPredsFrom(t_new, heads);
-        for (int pred : heads) {
-          MergeRows(delta.idb(pred), &t_new.idb(pred));
-        }
-        t_new.CompactPreds(heads);
-      }
-      if (!drained) return {std::move(t_new), max_steps, false, work};
-    }
-    return {std::move(t_new), steps, true, work};
-  }
-
   /// δ = candidate ⊖ base for one predicate, appended into *out in
   /// candidate's row order; returns true iff any nonzero difference was
-  /// stored. The shared ⊖ scan of both semi-naive variants — identical
-  /// code path keeps sweep and ordered value/order behaviour aligned.
+  /// stored. The ⊖ scan shared by SemiNaive and the update cascades.
   bool DiffRows(const Relation<P>& candidate, const Relation<P>& base,
                 Relation<P>* out) const
     requires CompleteDistributiveDioid<P>
@@ -1058,41 +783,6 @@ class Engine {
     for (uint32_t r = 0; r < rows; ++r) {
       if (!from.RowLive(r)) continue;
       into->Merge(from.View(r), from.ValueAt(r));
-    }
-  }
-
-  /// The ordered scheduler's differential units for one group round:
-  /// every (triggered rule, disjunct, group occurrence) in the exact
-  /// order of the sequential loop in SemiNaiveOrdered, resolving through
-  /// the persistent t_new/delta/t_old instances (stable Relation
-  /// objects, so cached delta indexes stay attached across rounds).
-  void BuildGroupUnits(const std::vector<int>& rule_ids,
-                       const IdbInstance<P>& t_new,
-                       const IdbInstance<P>& delta,
-                       const IdbInstance<P>& t_old,
-                       std::vector<EvalUnit>* units) const {
-    units->clear();
-    for (int r : rule_ids) {
-      const CompiledRule& cr = compiled_[r];
-      for (const CompiledDisjunct& cd : cr.disjuncts) {
-        const int occurrences = static_cast<int>(cd.group_atoms.size());
-        const CompiledDisjunct* cdp = &cd;
-        for (int ell = 0; ell < occurrences; ++ell) {
-          units->push_back(EvalUnit{
-              &cr, cdp,
-              [this, cdp, ell, &t_new, &delta,
-               &t_old](int atom_index) -> const Relation<P>& {
-                const int pred = cdp->sp->atoms[atom_index].pred;
-                if (prog_->predicate(pred).kind != PredKind::kIdb) {
-                  return edb_->pops(pred);
-                }
-                const int occ = cdp->group_occ_of_atom[atom_index];
-                if (occ < 0 || occ < ell) return t_new.idb(pred);
-                if (occ == ell) return delta.idb(pred);
-                return t_old.idb(pred);
-              }});
-        }
-      }
     }
   }
 
@@ -1143,32 +833,31 @@ class Engine {
         }
         const CompiledDisjunct* cdp = &cd;
         for (int ell_atom : changed) {
-          auto resolver = [this, cdp, ell_atom, &idb, &delta_by_pred,
-                           &hi_by_pred](int atom_index)
-              -> const Relation<P>& {
-            const int pred = cdp->sp->atoms[atom_index].pred;
-            if (cdp->occ_of_atom[atom_index] >= 0) return idb.idb(pred);
-            const Relation<P>* d = delta_by_pred[pred];
-            if (d == nullptr) return edb_->pops(pred);  // unchanged
-            if (atom_index < ell_atom) return edb_->pops(pred);
-            if (atom_index == ell_atom) return *d;
-            const Relation<P>* hi = hi_by_pred[pred];
-            return hi != nullptr ? *hi : edb_->pops(pred);
-          };
-          if (pool_) {
-            units.push_back(EvalUnit{&cr, cdp, resolver});
-          } else {
-            EvalDisjunct(cd, resolver, &out->idb(cr.rule->head.pred), work);
-          }
+          units.push_back(EvalUnit{
+              &cr, cdp,
+              [this, cdp, ell_atom, &idb, &delta_by_pred,
+               &hi_by_pred](int atom_index) -> const Relation<P>& {
+                const int pred = cdp->sp->atoms[atom_index].pred;
+                if (cdp->occ_of_atom[atom_index] >= 0) return idb.idb(pred);
+                const Relation<P>* d = delta_by_pred[pred];
+                if (d == nullptr) return edb_->pops(pred);  // unchanged
+                if (atom_index < ell_atom) return edb_->pops(pred);
+                if (atom_index == ell_atom) return *d;
+                const Relation<P>* hi = hi_by_pred[pred];
+                return hi != nullptr ? *hi : edb_->pops(pred);
+              }});
         }
       }
     }
-    if (pool_ && !units.empty()) ApplyUnitsParallel(units, out, work);
+    ApplyUnits(units, out, work);
   }
 
-  /// The unit list for EvalDifferentialRound's pool path — SemiNaive's
-  /// unit shape, with EDB atoms resolved to the live EDB. References the
-  /// caller's instances: rebuild only when they move.
+  /// The differential units of one Eq. (64) round: for every disjunct
+  /// with IDB atoms and every IDB occurrence ℓ, in (rule, disjunct, ℓ)
+  /// order, a sum-product reading `cur` before ℓ, `delta` at ℓ and `prev`
+  /// after it, EDB atoms reading the live EDB. The EDB-only disjuncts
+  /// (E_i, Eq. 65) contribute nothing. References the caller's instances:
+  /// rebuild only when they move.
   std::vector<EvalUnit> DifferentialUnits(const IdbInstance<P>& cur,
                                           const IdbInstance<P>& delta,
                                           const IdbInstance<P>& prev) const {
@@ -1194,40 +883,6 @@ class Engine {
       }
     }
     return units;
-  }
-
-  /// One differential round body (Eq. 64 with caller-supplied instances):
-  /// candidate ⊕= Σ_disjuncts Σ_ℓ G(cur <ℓ, delta at ℓ, prev >ℓ), EDB
-  /// atoms reading the live EDB, in SemiNaive's exact (rule, disjunct, ℓ)
-  /// order. `units` is the pool path's prebuilt list (ignored
-  /// sequentially).
-  void EvalDifferentialRound(const IdbInstance<P>& cur,
-                             const IdbInstance<P>& delta,
-                             const IdbInstance<P>& prev,
-                             const std::vector<EvalUnit>& units,
-                             IdbInstance<P>* candidate,
-                             uint64_t* work) const {
-    if (pool_) {
-      ApplyUnitsParallel(units, candidate, work);
-      return;
-    }
-    for (const CompiledRule& cr : compiled_) {
-      for (const CompiledDisjunct& cd : cr.disjuncts) {
-        const int occurrences = static_cast<int>(cd.idb_atoms.size());
-        for (int ell = 0; ell < occurrences; ++ell) {
-          auto resolver = [&](int atom_index) -> const Relation<P>& {
-            const int pred = cd.sp->atoms[atom_index].pred;
-            const int occ = cd.occ_of_atom[atom_index];
-            if (occ < 0) return edb_->pops(pred);
-            if (occ < ell) return cur.idb(pred);
-            if (occ == ell) return delta.idb(pred);
-            return prev.idb(pred);
-          };
-          EvalDisjunct(cd, resolver, &candidate->idb(cr.rule->head.pred),
-                       work);
-        }
-      }
-    }
   }
 
   /// δ = candidate relative to base, per IDB predicate: ⊖ on dioids. On
@@ -1271,8 +926,8 @@ class Engine {
                       IdbInstance<P>* t_old, IdbInstance<P>* candidate,
                       int max_steps, UpdateResult* res,
                       uint64_t* work) const {
-    std::vector<EvalUnit> units;
-    if (pool_) units = DifferentialUnits(*t_new, *delta, *t_old);
+    const std::vector<EvalUnit> units =
+        DifferentialUnits(*t_new, *delta, *t_old);
     while (true) {
       if (res->rounds >= max_steps) {
         res->converged = false;
@@ -1280,7 +935,7 @@ class Engine {
       }
       SweepCaches();
       candidate->ClearAll();
-      EvalDifferentialRound(*t_new, *delta, *t_old, units, candidate, work);
+      ApplyUnits(units, candidate, work);
       ++res->rounds;
       delta->ClearAll();
       if (!DeltaFromCandidate(*candidate, *t_new, delta)) return;
@@ -1393,8 +1048,8 @@ class Engine {
     ++res->rounds;
     IdbInstance<P> removed(*prog_);  // δ⁻ the next round propagates
     IdbInstance<P> t_prev(*prog_);
-    std::vector<EvalUnit> units;
-    if (pool_) units = DifferentialUnits(*idb, removed, t_prev);
+    const std::vector<EvalUnit> units =
+        DifferentialUnits(*idb, removed, t_prev);
     while (true) {
       removed.ClearAll();
       bool any = false;
@@ -1435,7 +1090,7 @@ class Engine {
       }
       SweepCaches();
       candidate.ClearAll();
-      EvalDifferentialRound(*idb, removed, t_prev, units, &candidate, &work);
+      ApplyUnits(units, &candidate, &work);
       ++res->rounds;
     }
   }
@@ -1481,8 +1136,8 @@ class Engine {
     SweepCaches();
     EvalEdbCrossTerms(del_cv, no_snap, *idb, &candidate, &work);
     ++res->rounds;
-    std::vector<EvalUnit> units;
-    if (pool_) units = DifferentialUnits(*idb, aff_delta, *idb);
+    const std::vector<EvalUnit> units =
+        DifferentialUnits(*idb, aff_delta, *idb);
     while (true) {
       aff_delta.ClearAll();
       bool any = false;
@@ -1527,7 +1182,7 @@ class Engine {
       }
       SweepCaches();
       candidate.ClearAll();
-      EvalDifferentialRound(*idb, aff_delta, *idb, units, &candidate, &work);
+      ApplyUnits(units, &candidate, &work);
       ++res->rounds;
     }
     // ---- Phase 2: prune the cone, apply the EDB batch. ----
@@ -1754,7 +1409,11 @@ class Engine {
     return total;
   }
 
-  /// The parallel ICO step. Three phases (see the class comment):
+  /// Evaluates every unit into its head relation in `out`, counting join
+  /// work — the one dispatch every fixpoint loop and Update path uses.
+  /// Without a pool, the sequential kernel runs unit by unit in list
+  /// order. With one, the step runs in three phases (see the class
+  /// comment):
   ///  1. prepare (sequential): resolve every unit's generator indexes —
   ///     all cache/counters traffic, in unit order — and shard each
   ///     unit's driver entry list into row ranges of <= shard_rows.
@@ -1764,8 +1423,15 @@ class Engine {
   ///  3. reduce (sequential): merge partials into the head relations and
   ///     work into the run counter, in (unit, shard) order — replaying
   ///     the sequential kernel's exact head-merge sequence.
-  void ApplyUnitsParallel(const std::vector<EvalUnit>& units,
-                          IdbInstance<P>* out, uint64_t* work) const {
+  void ApplyUnits(const std::vector<EvalUnit>& units, IdbInstance<P>* out,
+                  uint64_t* work) const {
+    if (!pool_) {
+      for (const EvalUnit& u : units) {
+        EvalDisjunct(*u.cd, u.resolver, &out->idb(u.cr->rule->head.pred),
+                     work);
+      }
+      return;
+    }
     if (par_prepared_.size() < units.size()) {
       par_prepared_.resize(units.size());
     }
@@ -1828,21 +1494,6 @@ class Engine {
     }
   }
 
-  /// One rule's contribution to F(J), merged into `out`.
-  void ApplyRule(const CompiledRule& cr, const IdbInstance<P>& j,
-                 IdbInstance<P>* out, uint64_t* work) const {
-    for (const CompiledDisjunct& cd : cr.disjuncts) {
-      auto resolver = [&](int atom_index) -> const Relation<P>& {
-        const int pred = cd.sp->atoms[atom_index].pred;
-        if (prog_->predicate(pred).kind != PredKind::kIdb) {
-          return edb_->pops(pred);
-        }
-        return j.idb(pred);
-      };
-      EvalDisjunct(cd, resolver, &out->idb(cr.rule->head.pred), work);
-    }
-  }
-
   ConstId GroundTerm(const Term& t,
                      const std::vector<ConstId>& binding) const {
     if (!t.IsVar()) return t.constant;
@@ -1868,24 +1519,7 @@ class Engine {
         ConstId l = GroundTerm(c.lhs, binding);
         ConstId r = GroundTerm(c.rhs, binding);
         DLO_CHECK(l != kUnbound && r != kUnbound);
-        if (c.op == CmpOp::kEq) return l == r;
-        if (c.op == CmpOp::kNe) return l != r;
-        auto li = prog_->domain()->AsInt(l);
-        auto ri = prog_->domain()->AsInt(r);
-        DLO_CHECK_MSG(li.has_value() && ri.has_value(),
-                      "order comparison requires integer constants");
-        switch (c.op) {
-          case CmpOp::kLt:
-            return *li < *ri;
-          case CmpOp::kLe:
-            return *li <= *ri;
-          case CmpOp::kGt:
-            return *li > *ri;
-          case CmpOp::kGe:
-            return *li >= *ri;
-          default:
-            return false;
-        }
+        return EvalCompare(c.op, l, r, *prog_->domain());
       }
     }
     return false;
@@ -1893,9 +1527,7 @@ class Engine {
 
   /// Compile-time truth value of a compare condition under the
   /// disjunct's prebindings, or nullopt when a side is unbound at
-  /// compile time (or an ordered compare reaches a non-integer constant
-  /// — left for the runtime check so compilation cannot fail on a
-  /// condition no emitted row would ever reach).
+  /// compile time.
   std::optional<bool> DecideGroundCompare(const Condition& c,
                                           const std::vector<ConstId>& pre)
       const {
@@ -1906,23 +1538,7 @@ class Engine {
     const ConstId l = ground(c.lhs);
     const ConstId r = ground(c.rhs);
     if (l == kUnbound || r == kUnbound) return std::nullopt;
-    if (c.op == CmpOp::kEq) return l == r;
-    if (c.op == CmpOp::kNe) return l != r;
-    auto li = prog_->domain()->AsInt(l);
-    auto ri = prog_->domain()->AsInt(r);
-    if (!li.has_value() || !ri.has_value()) return std::nullopt;
-    switch (c.op) {
-      case CmpOp::kLt:
-        return *li < *ri;
-      case CmpOp::kLe:
-        return *li <= *ri;
-      case CmpOp::kGt:
-        return *li > *ri;
-      case CmpOp::kGe:
-        return *li >= *ri;
-      default:
-        return std::nullopt;
-    }
+    return EvalCompare(c.op, l, r, *prog_->domain());
   }
 
   /// Sizes a Scratch's buffers for one disjunct (idempotent; reuses
@@ -2215,8 +1831,8 @@ class Engine {
   const Program* prog_;
   const EdbInstance<P>* edb_;
   EngineOptions options_;
-  RelianceGroups reliance_;  ///< computed before Compile() (group maps)
   std::vector<CompiledRule> compiled_;
+  std::vector<int> all_rules_;  ///< 0 .. compiled_.size() - 1
   std::unique_ptr<ThreadPool> pool_;  ///< null when num_threads <= 1
   // Mutable: evaluation entry points are const, but memoizing indexes,
   // counting builds, and reusing evaluation buffers are all invisible to
@@ -2237,9 +1853,6 @@ class Engine {
   mutable uint64_t hash_probes_ = 0;    ///< hash-map index lookups
   mutable uint64_t direct_probes_ = 0;  ///< direct-array index lookups
   mutable uint64_t edb_index_scan_rows_ = 0;  ///< EDB build-scan rows
-  mutable std::vector<EvalUnit> group_units_;  ///< ordered-round unit buffer
-  mutable uint64_t group_iterations_ = 0;  ///< ordered: local rounds run
-  mutable uint64_t rules_skipped_ = 0;     ///< ordered: triggered-set skips
 };
 
 }  // namespace datalogo

@@ -181,27 +181,9 @@ GroundedProgram<P> GroundProgram(const Program& prog,
             bool holds = edb.boolean(c.atom.pred).Get(t);
             return c.kind == Condition::Kind::kBoolAtom ? holds : !holds;
           }
-          case Condition::Kind::kCompare: {
-            ConstId l = ground_term(c.lhs), r = ground_term(c.rhs);
-            if (c.op == CmpOp::kEq) return l == r;
-            if (c.op == CmpOp::kNe) return l != r;
-            auto li = prog.domain()->AsInt(l);
-            auto ri = prog.domain()->AsInt(r);
-            DLO_CHECK_MSG(li.has_value() && ri.has_value(),
-                          "order comparison requires integer constants");
-            switch (c.op) {
-              case CmpOp::kLt:
-                return *li < *ri;
-              case CmpOp::kLe:
-                return *li <= *ri;
-              case CmpOp::kGt:
-                return *li > *ri;
-              case CmpOp::kGe:
-                return *li >= *ri;
-              default:
-                return false;
-            }
-          }
+          case Condition::Kind::kCompare:
+            return EvalCompare(c.op, ground_term(c.lhs), ground_term(c.rhs),
+                               *prog.domain());
         }
         return false;
       };

@@ -160,10 +160,6 @@ class IdbInstance {
     return true;
   }
 
-  /// True iff `pred`'s relation currently has support — the delta-drain
-  /// signal the ordered scheduler's triggered-rule sets key on.
-  bool HasSupport(int pred) const { return !rels_[pred].empty(); }
-
   /// Clears every IDB relation in place. Column and slot capacity — and
   /// the Relation uids the index cache is keyed by — are retained, so a
   /// Clear + refill cycle reuses storage instead of churning objects.
@@ -177,22 +173,10 @@ class IdbInstance {
     for (int pred : prog_->IdbPredicates()) rels_[pred].Clear();
   }
 
-  /// ClearAll restricted to a predicate subset — the ordered scheduler
-  /// recycles one candidate/delta instance across group-local fixpoints
-  /// and only ever touches the running group's head predicates.
-  void ClearPreds(const std::vector<int>& preds) {
-    for (int pred : preds) rels_[pred].Clear();
-  }
-
   /// Compacts tombstoned rows out of every IDB relation. Per relation a
   /// no-op (version and cached indexes untouched) when it has none.
   void CompactAll() {
     for (int pred : prog_->IdbPredicates()) rels_[pred].Compact();
-  }
-
-  /// CompactAll restricted to a predicate subset.
-  void CompactPreds(const std::vector<int>& preds) {
-    for (int pred : preds) rels_[pred].Compact();
   }
 
   /// Element-wise copy assignment into this instance's existing Relation
@@ -201,12 +185,6 @@ class IdbInstance {
   void CopyContentsFrom(const IdbInstance& other) {
     DLO_CHECK(rels_.size() == other.rels_.size());
     for (int pred : prog_->IdbPredicates()) rels_[pred] = other.rels_[pred];
-  }
-
-  /// CopyContentsFrom restricted to a predicate subset.
-  void CopyPredsFrom(const IdbInstance& other, const std::vector<int>& preds) {
-    DLO_CHECK(rels_.size() == other.rels_.size());
-    for (int pred : preds) rels_[pred] = other.rels_[pred];
   }
 
   /// Element-wise move assignment with the same uid-stability guarantee;
@@ -220,12 +198,6 @@ class IdbInstance {
     for (int pred : prog_->IdbPredicates()) {
       rels_[pred] = std::move(other->rels_[pred]);
     }
-  }
-
-  /// TakeContentsFrom restricted to a predicate subset.
-  void TakePredsFrom(IdbInstance* other, const std::vector<int>& preds) {
-    DLO_CHECK(rels_.size() == other->rels_.size());
-    for (int pred : preds) rels_[pred] = std::move(other->rels_[pred]);
   }
 
   /// Total support size across IDB relations.

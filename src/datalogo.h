@@ -19,7 +19,6 @@
 #include "src/datalog/instance.h"
 #include "src/datalog/loader.h"
 #include "src/datalog/parser.h"
-#include "src/datalog/reliance.h"
 #include "src/datalog/stratified.h"
 #include "src/datalog/stratify.h"
 #include "src/datalog/validate.h"

@@ -886,9 +886,9 @@ class IndexCache {
   /// later lookups in that same step.
   ///
   /// `pin` marks the entry eviction-exempt: the engine pins EDB entries,
-  /// which never mutate during a run but used to fall idle — and get
-  /// evicted, then fully re-scanned — while the ordered scheduler ran
-  /// other groups' local fixpoints.
+  /// which never mutate during a run, so an EDB index that falls idle
+  /// for a while (e.g. one only a lower stratum's rules or an Update
+  /// seed read) is never evicted and then fully re-scanned.
   ///
   /// A version mismatch does not always mean a scan: when the relation
   /// reports no hard discontinuity since the entry's version, the cached

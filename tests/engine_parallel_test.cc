@@ -198,6 +198,23 @@ TEST(EngineParallel, MutualRecursionMultiHeadMerge) {
   ExpectThreadCountInvariance<BoolS>(prog, edb);
 }
 
+TEST(EngineParallel, TropicalParityPathsRandom) {
+  // A multi-stratum program: the mutually recursive Odd/Even pair feeds a
+  // quadratic closure T downstream, so each ICO application evaluates
+  // rules with different head predicates and mixed IDB occurrences.
+  constexpr const char* kParityPaths = R"(
+    edb E/2.
+    idb Odd/2. idb Even/2. idb T/2.
+    Odd(X,Y) :- E(X,Y).
+    Odd(X,Y) :- Even(X,Z) * E(Z,Y).
+    Even(X,Y) :- Odd(X,Z) * E(Z,Y).
+    T(X,Y) :- Even(X,Y) ; Odd(X,Y) ; T(X,Z) * T(Z,Y).
+  )";
+  ExpectThreadCountInvarianceOnGraph<TropS>(
+      kParityPaths, RandomGraph(24, 72, /*seed=*/9),
+      [](const Edge& e) { return e.weight; });
+}
+
 TEST(EngineParallel, ConditionsBedbAndOrderComparisons) {
   // Residual Boolean-EDB conditions plus an integer order comparison run
   // on the concurrent execute path (CheckCondition → Domain::AsInt).

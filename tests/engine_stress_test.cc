@@ -370,71 +370,6 @@ TEST(EngineStress, RepeatedVariableProgramsMatchAcrossScanKernels) {
   }
 }
 
-TEST(EngineStress, OrderedSchedulerMatchesSweepOnRandomPrograms) {
-  // Randomized stratified/mutually recursive programs over randomized
-  // EDBs: the ordered scheduler (reliance SCC groups, triggered-rule
-  // local fixpoints) must reproduce the sweep fixpoint for naive and
-  // semi-naive, serially and in parallel, with no more join work.
-  const int cases = CiIterations(12, 4);
-  const int env_threads = StressThreads();
-  std::mt19937_64 rng(0x5CC0DE01u);
-  for (int c = 0; c < cases; ++c) {
-    std::ostringstream text;
-    const bool mutual = rng() % 2 == 0;
-    const bool closure = rng() % 2 == 0;
-    text << "edb E/2.\nidb T/2.\n";
-    if (mutual) text << "idb U/2.\n";
-    if (closure) text << "idb V/2.\n";
-    // Split base and step into separate rules so T's SCC condensation
-    // yields distinct groups (base rule vs recursive component).
-    text << "T(X,Y) :- E(X,Y).\n";
-    if (mutual) {
-      text << "T(X,Y) :- U(X,Z) * E(Z,Y).\n";
-      text << "U(X,Y) :- T(X,Z) * E(Z,Y).\n";
-    } else if (rng() % 2 == 0) {
-      text << "T(X,Y) :- T(X,Z) * E(Z,Y).\n";
-    }
-    if (closure) {
-      text << "V(X,Y) :- T(X,Y)";
-      if (rng() % 2 == 0) text << " ; V(X,Z) * V(Z,Y)";
-      text << ".\n";
-    }
-    SCOPED_TRACE(::testing::Message() << "case " << c << ":\n" << text.str());
-    Domain dom;
-    auto prog = ParseProgram(text.str(), &dom);
-    ASSERT_TRUE(prog.ok()) << prog.status().ToString();
-    ASSERT_TRUE(ValidateProgram(prog.value()).ok());
-    const int n = 6 + static_cast<int>(rng() % 18);
-    const int m = n + static_cast<int>(rng() % (3 * n));
-    Graph g = RandomGraph(n, m, rng());
-    std::vector<ConstId> ids = InternVertices(n, &dom);
-    EdbInstance<TropS> edb(prog.value());
-    LoadEdges<TropS>(g, ids, [](const Edge& e) { return e.weight; },
-                     &edb.pops(prog.value().FindPredicate("E")));
-
-    Engine<TropS> sweep(prog.value(), edb);
-    auto sweep_naive = sweep.Naive(100000);
-    auto sweep_semi = sweep.SemiNaive(100000);
-    ASSERT_TRUE(sweep_naive.converged && sweep_semi.converged);
-
-    const int threads =
-        c % 2 == 0 ? 1 : std::max(2, env_threads % 8);
-    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
-    Engine<TropS> ordered(prog.value(), edb,
-                          EngineOptions{.num_threads = threads,
-                                        .scheduler = Scheduler::kOrdered});
-    auto ord_naive = ordered.Naive(100000);
-    auto ord_semi = ordered.SemiNaive(100000);
-    ASSERT_TRUE(ord_naive.converged && ord_semi.converged);
-    EXPECT_TRUE(ord_naive.idb.Equals(sweep_naive.idb));
-    EXPECT_TRUE(ord_semi.idb.Equals(sweep_semi.idb));
-    EXPECT_LE(ord_semi.work, sweep_semi.work);
-    // Base/step rule split guarantees multiple groups whenever any
-    // recursive or downstream rule was sampled.
-    if (mutual || closure) EXPECT_GE(ordered.reliance().num_groups(), 2);
-  }
-}
-
 TEST(EngineStress, TropPTopKPathsMatchEnumeration) {
   // Over Trop+_2 the APSP fixpoint holds the 3 cheapest WALK lengths;
   // verify against brute-force walk enumeration on a small graph.

@@ -139,5 +139,64 @@ TEST(Grounder, HeadConstantsGroundCorrectly) {
   EXPECT_EQ(iter.values[ta], 3u);
 }
 
+TEST(Grounder, OrderComparisonsOverMixedKeysAgreeWithEngine) {
+  // Order comparisons are false whenever a side is a symbol, in both
+  // engines: the integer part of E still derives, the symbol part never
+  // passes `<`/`<=`/`>=`. S's compare is decidable at compile time (X is
+  // prebound to the symbol a) and always false.
+  Domain dom;
+  auto prog = ParseProgram(R"(
+    edb E/2.
+    idb T/2.
+    idb S/1.
+    T(X,Y) :- { E(X,Y) | X < Y } ; { T(X,Z) * E(Z,Y) | Z <= Y }.
+    S(Y) :- { E(X,Y) | X = a, X >= 0 }.
+  )",
+                           &dom);
+  ASSERT_TRUE(prog.ok()) << prog.status().ToString();
+  ASSERT_TRUE(ValidateProgram(prog.value()).ok());
+  ASSERT_TRUE(CheckEngineSupport(prog.value()).ok());
+  EdbInstance<TropS> edb(prog.value());
+  Relation<TropS>& e = edb.pops(prog.value().FindPredicate("E"));
+  const ConstId a = dom.InternSymbol("a"), b = dom.InternSymbol("b");
+  std::vector<ConstId> ints;
+  for (int v = 0; v < 6; ++v) ints.push_back(dom.InternInt(v));
+  for (int v = 0; v + 1 < 6; ++v) e.Set({ints[v], ints[v + 1]}, 1.0);
+  e.Set({ints[4], ints[2]}, 1.0);  // fails X < Y
+  e.Set({ints[1], a}, 2.0);
+  e.Set({a, b}, 1.0);
+  e.Set({a, ints[3]}, 1.0);
+  e.Set({b, ints[0]}, 3.0);
+
+  auto grounded = GroundProgram<TropS>(prog.value(), edb);
+  auto iter = grounded.NaiveIterate(1000);
+  ASSERT_TRUE(iter.converged);
+  IdbInstance<TropS> want = grounded.Decode(iter.values);
+
+  Engine<TropS> engine(prog.value(), edb);
+  auto naive = engine.Naive(1000);
+  auto semi = engine.SemiNaive(1000);
+  ASSERT_TRUE(naive.converged && semi.converged);
+  EXPECT_TRUE(naive.idb.Equals(want));
+  EXPECT_TRUE(semi.idb.Equals(want));
+
+  const int t = prog.value().FindPredicate("T");
+  EXPECT_EQ(want.idb(t).Get({ints[0], ints[5]}), 5.0);
+  EXPECT_TRUE(want.idb(t).Contains({ints[3], ints[5]}));
+  EXPECT_FALSE(want.idb(t).Contains({ints[1], a}));
+  EXPECT_FALSE(want.idb(t).Contains({a, ints[3]}));
+  EXPECT_EQ(want.idb(prog.value().FindPredicate("S")).support_size(), 0u);
+}
+
+TEST(Grounder, NegatedPopsAtomsAreRejectedBeforeTheEngine) {
+  Domain dom;
+  auto prog = ParseProgram("edb E/2. idb T/2. T(X,Y) :- !E(X,Y).", &dom);
+  ASSERT_TRUE(prog.ok()) << prog.status().ToString();
+  ASSERT_TRUE(ValidateProgram(prog.value()).ok());
+  Status s = CheckEngineSupport(prog.value());
+  EXPECT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("grounded engine"), std::string::npos);
+}
+
 }  // namespace
 }  // namespace datalogo
