@@ -98,52 +98,6 @@ void PrintTables() {
       " iteration depth — the paper's motivation for Algorithm 3)\n");
 }
 
-// Index caching: the seed engine rebuilt every RelationIndex per joining
-// step; the IndexCache reuses an index until its relation mutates, so EDB
-// indexes are built once per run instead of once per disjunct-evaluation.
-void PrintIndexCachingTable() {
-  Banner("index caching (EngineOptions::cache_indexes)",
-         "engine bugfix: indexes cached per (relation, position-set)");
-  struct Row {
-    const char* name;
-    uint64_t builds_off;
-    uint64_t builds_on;
-    uint64_t hits_on;
-    bool agree;
-  };
-  std::vector<Row> rows;
-  auto measure = [&](const char* name, int n, int m, bool semi) {
-    Domain dom;
-    auto prog = ApspProgram(&dom).value();
-    Graph g = RandomGraph(n, m, /*seed=*/5);
-    std::vector<ConstId> ids = InternVertices(n, &dom);
-    EdbInstance<TropS> edb(prog);
-    LoadEdges<TropS>(g, ids, [](const Edge& e) { return e.weight; },
-                     &edb.pops(prog.FindPredicate("E")));
-    Engine<TropS> off(prog, edb, EngineOptions{.cache_indexes = false});
-    Engine<TropS> on(prog, edb, EngineOptions{.cache_indexes = true});
-    auto r_off = semi ? off.SemiNaive(1 << 20) : off.Naive(1 << 20);
-    auto r_on = semi ? on.SemiNaive(1 << 20) : on.Naive(1 << 20);
-    rows.push_back(Row{name, off.index_builds(), on.index_builds(),
-                       on.index_hits(), r_off.idb.Equals(r_on.idb)});
-  };
-  measure("APSP naive random-60", 60, 180, /*semi=*/false);
-  measure("APSP semi random-60", 60, 180, /*semi=*/true);
-  measure("APSP semi random-120", 120, 360, /*semi=*/true);
-  std::printf("%-22s %-13s %-13s %-11s %-6s\n", "workload", "builds(off)",
-              "builds(on)", "hits(on)", "agree");
-  for (const Row& r : rows) {
-    std::printf("%-22s %-13llu %-13llu %-11llu %-6s\n", r.name,
-                static_cast<unsigned long long>(r.builds_off),
-                static_cast<unsigned long long>(r.builds_on),
-                static_cast<unsigned long long>(r.hits_on),
-                r.agree ? "yes" : "NO");
-  }
-  std::printf(
-      "(builds(on) ≪ builds(off): the EDB index is built once per run and\n"
-      " every further lookup is a hit; results are identical either way)\n");
-}
-
 // Parallel ICO step: wall time per thread count on the APSP workload,
 // with a determinism cross-check against the sequential engine. On a
 // single hardware core this table measures the prepare/reduce overhead
@@ -192,15 +146,14 @@ void PrintParallelTable() {
       " sequential head-merge sequence)\n");
 }
 
-// Index tiers and scan kernels: the hash index is the general tier;
-// dense single-column keys get an offset-addressed direct tier (kAuto
-// detects density, kDirect forces it), and index-build column scans run
-// through the SIMD kernels in src/core/simd.h. Every combination is
-// pinned to the same fixpoint, work counter and four index counters —
-// only wall time and the probe counters (hash vs direct lookups) move.
+// Index tiers: the hash index is the general tier; dense single-column
+// keys get an offset-addressed direct tier (kAuto detects density,
+// kDirect forces it). Every tier is pinned to the same fixpoint, work
+// counter and four index counters — only wall time and the probe
+// counters (hash vs direct lookups) move.
 void PrintIndexTierTable() {
-  Banner("index tiers & scan kernels (EngineOptions::index_kind/scan_kernel)",
-         "dense-id direct indexes + SIMD column scans, bit-identical");
+  Banner("index tiers (EngineOptions::index_kind)",
+         "dense-id direct indexes, bit-identical");
   const bool smoke = BenchSmokeMode();
   const int reps = smoke ? 1 : 3;
   const int n = smoke ? 48 : 128;
@@ -211,56 +164,48 @@ void PrintIndexTierTable() {
   EdbInstance<TropS> edb(prog);
   LoadEdges<TropS>(g, ids, [](const Edge& e) { return e.weight; },
                    &edb.pops(prog.FindPredicate("E")));
-  // Reference: the pre-tier behaviour (hash everywhere, scalar scans).
-  Engine<TropS> ref(prog, edb,
-                    EngineOptions{.index_kind = IndexKind::kHash,
-                                  .scan_kernel = ScanKernel::kScalar});
+  // Reference: the pre-tier behaviour (hash everywhere).
+  Engine<TropS> ref(prog, edb, EngineOptions{.index_kind = IndexKind::kHash});
   auto base = ref.SemiNaive(1 << 20);
-  std::printf("%-14s %-10s %-12s %-13s %-12s %-7s %-6s (APSP/Trop random-%d"
-              ", simd=%s)\n",
-              "index/scan", "semi-ms", "hash-probes", "direct-probes",
-              "incr-appends", "pinned", "agree", n, simd::IsaName());
+  std::printf("%-8s %-10s %-12s %-13s %-12s %-7s %-6s (APSP/Trop random-%d)\n",
+              "index", "semi-ms", "hash-probes", "direct-probes",
+              "incr-appends", "pinned", "agree", n);
   for (IndexKind kind : {IndexKind::kHash, IndexKind::kDirect,
                          IndexKind::kAuto}) {
-    for (ScanKernel scan : {ScanKernel::kScalar, ScanKernel::kSimd}) {
-      const EngineOptions opts{.index_kind = kind, .scan_kernel = scan};
-      double best_ms = 1e300;
-      EvalResult<TropS> r{IdbInstance<TropS>(prog)};
-      uint64_t hash_probes = 0, direct_probes = 0, incr = 0;
-      bool pinned = false;
-      for (int rep = 0; rep < reps; ++rep) {
-        Engine<TropS> engine(prog, edb, opts);
-        EvalResult<TropS> cur{IdbInstance<TropS>(prog)};
-        double ms = WallMs([&] { cur = engine.SemiNaive(1 << 20); });
-        if (ms < best_ms) {
-          best_ms = ms;
-          hash_probes = engine.hash_probes();
-          direct_probes = engine.direct_probes();
-          incr = engine.idx_incremental_appends();
-          pinned = cur.work == base.work &&
-                   engine.index_builds() == ref.index_builds() &&
-                   engine.index_hits() == ref.index_hits() &&
-                   engine.idb_index_builds() == ref.idb_index_builds() &&
-                   engine.idb_index_hits() == ref.idb_index_hits();
-          r = std::move(cur);
-        }
+    const EngineOptions opts{.index_kind = kind};
+    double best_ms = 1e300;
+    EvalResult<TropS> r{IdbInstance<TropS>(prog)};
+    uint64_t hash_probes = 0, direct_probes = 0, incr = 0;
+    bool pinned = false;
+    for (int rep = 0; rep < reps; ++rep) {
+      Engine<TropS> engine(prog, edb, opts);
+      EvalResult<TropS> cur{IdbInstance<TropS>(prog)};
+      double ms = WallMs([&] { cur = engine.SemiNaive(1 << 20); });
+      if (ms < best_ms) {
+        best_ms = ms;
+        hash_probes = engine.hash_probes();
+        direct_probes = engine.direct_probes();
+        incr = engine.idx_incremental_appends();
+        pinned = cur.work == base.work &&
+                 engine.index_builds() == ref.index_builds() &&
+                 engine.index_hits() == ref.index_hits() &&
+                 engine.idb_index_builds() == ref.idb_index_builds() &&
+                 engine.idb_index_hits() == ref.idb_index_hits();
+        r = std::move(cur);
       }
-      std::string config = std::string(IndexKindName(kind)) + "/" +
-                           ScanKernelName(scan);
-      std::printf("%-14s %-10.2f %-12llu %-13llu %-12llu %-7s %-6s\n",
-                  config.c_str(), best_ms,
-                  static_cast<unsigned long long>(hash_probes),
-                  static_cast<unsigned long long>(direct_probes),
-                  static_cast<unsigned long long>(incr),
-                  pinned ? "yes" : "NO",
-                  r.idb.Equals(base.idb) ? "yes" : "NO");
     }
+    std::printf("%-8s %-10.2f %-12llu %-13llu %-12llu %-7s %-6s\n",
+                IndexKindName(kind), best_ms,
+                static_cast<unsigned long long>(hash_probes),
+                static_cast<unsigned long long>(direct_probes),
+                static_cast<unsigned long long>(incr), pinned ? "yes" : "NO",
+                r.idb.Equals(base.idb) ? "yes" : "NO");
   }
   std::printf(
       "(direct/auto route the dense APSP key lookups off the hash map —\n"
       " hash-probes drops to the Boolean-condition remainder — and the\n"
       " Clear+append delta cycle keeps incr-appends nonzero; `work` and\n"
-      " the four index counters are pinned across every combination)\n");
+      " the four index counters are pinned across every tier)\n");
 }
 
 // Parity-split shortest paths: a multi-stratum program — a mutually
@@ -309,34 +254,6 @@ void BM_QuadraticTc(benchmark::State& state) {
   }
 }
 
-/// Same semi-naive APSP workload with index caching on/off; the counters
-/// report how many indexes each engine actually constructed.
-template <bool kCache>
-void BM_ApspIndexCache(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  Domain dom;
-  auto prog = ApspProgram(&dom).value();
-  Graph g = RandomGraph(n, 3 * n, /*seed=*/9);
-  std::vector<ConstId> ids = InternVertices(n, &dom);
-  EdbInstance<TropS> edb(prog);
-  LoadEdges<TropS>(g, ids, [](const Edge& e) { return e.weight; },
-                   &edb.pops(prog.FindPredicate("E")));
-  Engine<TropS> engine(prog, edb,
-                       EngineOptions{.cache_indexes = kCache});
-  for (auto _ : state) {
-    auto r = engine.SemiNaive(1 << 20);
-    benchmark::DoNotOptimize(r.idb.TotalSupport());
-  }
-  // Per-iteration averages: totals accumulate across however many
-  // iterations the framework chose, which differs between variants.
-  state.counters["index_builds"] =
-      benchmark::Counter(static_cast<double>(engine.index_builds()),
-                         benchmark::Counter::kAvgIterations);
-  state.counters["index_hits"] =
-      benchmark::Counter(static_cast<double>(engine.index_hits()),
-                         benchmark::Counter::kAvgIterations);
-}
-
 /// APSP with the parallel ICO step: range(0) = n, range(1) = threads.
 template <bool kSemi>
 void BM_ApspMt(benchmark::State& state) {
@@ -372,19 +289,12 @@ BENCHMARK(BM_ApspMt<true>)
     ->Args({128, 8});
 BENCHMARK(BM_QuadraticTc<false>)->Name("quad_tc_naive")->Arg(32)->Arg(64);
 BENCHMARK(BM_QuadraticTc<true>)->Name("quad_tc_seminaive")->Arg(32)->Arg(64);
-BENCHMARK(BM_ApspIndexCache<false>)
-    ->Name("apsp_uncached")
-    ->Arg(64)
-    ->Arg(128);
-BENCHMARK(BM_ApspIndexCache<true>)->Name("apsp_cached")->Arg(64)->Arg(128);
 
-/// APSP semi-naive per index tier and scan kernel: range(0) = n,
-/// range(1) = IndexKind, range(2) = ScanKernel — each piece of the
-/// tiered-index subsystem benchmarkable in isolation.
+/// APSP semi-naive per index tier: range(0) = n, range(1) = IndexKind —
+/// each tier benchmarkable in isolation.
 void BM_ApspIndexTier(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const auto kind = static_cast<IndexKind>(state.range(1));
-  const auto scan = static_cast<ScanKernel>(state.range(2));
   Domain dom;
   auto prog = ApspProgram(&dom).value();
   Graph g = RandomGraph(n, 3 * n, /*seed=*/9);
@@ -392,14 +302,12 @@ void BM_ApspIndexTier(benchmark::State& state) {
   EdbInstance<TropS> edb(prog);
   LoadEdges<TropS>(g, ids, [](const Edge& e) { return e.weight; },
                    &edb.pops(prog.FindPredicate("E")));
-  Engine<TropS> engine(prog, edb,
-                       EngineOptions{.index_kind = kind, .scan_kernel = scan});
+  Engine<TropS> engine(prog, edb, EngineOptions{.index_kind = kind});
   for (auto _ : state) {
     auto r = engine.SemiNaive(1 << 20);
     benchmark::DoNotOptimize(r.idb.TotalSupport());
   }
-  state.SetLabel(std::string(IndexKindName(kind)) + "/" +
-                 ScanKernelName(scan));
+  state.SetLabel(IndexKindName(kind));
   state.counters["hash_probes"] =
       benchmark::Counter(static_cast<double>(engine.hash_probes()),
                          benchmark::Counter::kAvgIterations);
@@ -410,16 +318,9 @@ void BM_ApspIndexTier(benchmark::State& state) {
 
 BENCHMARK(BM_ApspIndexTier)
     ->Name("apsp_seminaive_index")
-    ->Args({128, static_cast<int>(datalogo::IndexKind::kHash),
-            static_cast<int>(datalogo::ScanKernel::kScalar)})
-    ->Args({128, static_cast<int>(datalogo::IndexKind::kHash),
-            static_cast<int>(datalogo::ScanKernel::kSimd)})
-    ->Args({128, static_cast<int>(datalogo::IndexKind::kDirect),
-            static_cast<int>(datalogo::ScanKernel::kScalar)})
-    ->Args({128, static_cast<int>(datalogo::IndexKind::kDirect),
-            static_cast<int>(datalogo::ScanKernel::kSimd)})
-    ->Args({128, static_cast<int>(datalogo::IndexKind::kAuto),
-            static_cast<int>(datalogo::ScanKernel::kSimd)});
+    ->Args({128, static_cast<int>(datalogo::IndexKind::kHash)})
+    ->Args({128, static_cast<int>(datalogo::IndexKind::kDirect)})
+    ->Args({128, static_cast<int>(datalogo::IndexKind::kAuto)});
 
 // Machine-readable perf journal: BENCH_seminaive.json in the working
 // directory, with wall ms / iterations / work / index builds (total and
@@ -449,7 +350,6 @@ void WriteJson() {
 
 int main(int argc, char** argv) {
   datalogo::PrintTables();
-  datalogo::PrintIndexCachingTable();
   datalogo::PrintParallelTable();
   datalogo::PrintIndexTierTable();
   datalogo::WriteJson();

@@ -155,7 +155,7 @@ class BenchJson {
   bool first_field_ = true;
 };
 
-/// Journal spellings of the engine's index-tier / scan-kernel knobs.
+/// Journal spelling of the engine's index-tier knob.
 inline const char* IndexKindName(IndexKind k) {
   switch (k) {
     case IndexKind::kHash:
@@ -167,16 +167,10 @@ inline const char* IndexKindName(IndexKind k) {
   }
   return "?";
 }
-inline const char* ScanKernelName(ScanKernel k) {
-  return k == ScanKernel::kScalar ? "scalar" : "simd";
-}
-
-/// Host metadata for every BENCH_*.json: hardware concurrency (the PR-5
-/// single-core-host caveat, machine-readable) and the SIMD instruction
-/// set the binary's kSimd scan paths compile to.
+/// Host metadata for every BENCH_*.json: hardware concurrency, so rows
+/// timed on a single-core host are marked as such.
 inline void AddHostMeta(BenchJson* json) {
   json->MetaInt("nproc", std::thread::hardware_concurrency());
-  json->Meta("simd_isa", simd::IsaName());
 }
 
 /// Shared emitter for the BENCH_<name>.json perf journals: for each n,
@@ -250,7 +244,6 @@ void WriteEngineJson(const std::string& bench_name,
             .Int("idb_index_builds", idb_builds)
             .Int("idb_index_hits", idb_hits)
             .Str("index_kind", IndexKindName(opts.index_kind))
-            .Str("scan_kernel", ScanKernelName(opts.scan_kernel))
             .Int("idx_incremental_appends", incr_appends)
             .Int("hash_probes", hash_probes)
             .Int("direct_probes", direct_probes)

@@ -3,10 +3,10 @@
 # and a message naming the flag — never die on a signal (an uncaught
 # std::stoi exception used to reach abort()) and never be accepted
 # silently. The boundary values of each accepted range must still run.
-# Malformed --edb/--bedb use, '#'-leading keys, an unknown flag
-# (--scheduler) and a negated POPS atom (which only the grounded engine
-# evaluates) must exit 1 with a message; an order comparison over
-# symbol keys is false, not an abort, and must run (exit 0).
+# Malformed --edb/--bedb use, '#'-leading keys, the removed flags
+# (--scheduler, --scan) and a negated POPS atom (which only the grounded
+# engine evaluates) must exit 1 with a message; an order comparison
+# over symbol keys is false, not an abort, and must run (exit 0).
 #
 # Invoked by CTest as:
 #   cmake -DCLI=<datalogo_cli> -DPROGRAM=<.dl> -DEDGES=<.tsv>
@@ -126,6 +126,7 @@ endfunction()
 
 expect_run("--scheduler=ordered" 1 "unknown flag" ${PROGRAM}
            --scheduler=ordered)
+expect_run("--scan=simd" 1 "unknown flag" ${PROGRAM} --scan=simd)
 
 set(neg_program ${CMAKE_CURRENT_BINARY_DIR}/cli_bad_flags_negated.dl)
 file(WRITE ${neg_program} "edb E/2.\nidb T/2.\nT(X,Y) :- !E(X,Y).\n")

@@ -69,12 +69,4 @@ strip_comments(${upd_t4_out} "${upd_t4_out}.stripped")
 require_identical("${ref_out}.stripped" "${upd_t4_out}.stripped"
                   "full recompute and parallel --update output")
 
-# The scalar index-build scans must maintain the same bytes too.
-set(upd_scalar_out "${OUT_DIR}/cli_update_inc_scalar.out")
-run_cli(${upd_scalar_out} ${PROGRAM} ${base_args} --edb E=${EDGES}
-        --update=${BATCH} --scan=scalar)
-strip_comments(${upd_scalar_out} "${upd_scalar_out}.stripped")
-require_identical("${ref_out}.stripped" "${upd_scalar_out}.stripped"
-                  "full recompute and scalar-scan --update output")
-
 message(STATUS "update smoke: incremental maintenance byte-identical")

@@ -3,7 +3,7 @@
 //   datalogo_cli PROGRAM.dl --semiring=trop
 //       --edb E=edges.tsv --bedb G=flags.tsv [--seminaive] [--advise]
 //       [--max-steps=N] [--threads=N] [--index=hash|direct|auto]
-//       [--scan=scalar|simd] [--update=BATCH]
+//       [--update=BATCH]
 //
 // Semirings: bool, nat, trop, tropnat, fuzzy, viterbi.
 // --max-steps takes 1..INT_MAX, --threads 0..1024 (0 = one per core);
@@ -45,11 +45,10 @@ struct CliOptions {
   bool advise = false;
   int max_steps = 100000;
   int threads = 1;  // 0 = one per hardware core; results are identical
-  // Index tier and index-build scan kernel (engine.h / simd.h). Output
-  // is identical for every combination — these exist for benchmarking
-  // and the byte-identity smoke test.
+  // Index tier (engine.h / relation.h). Output is identical for every
+  // tier — the flag exists for benchmarking and the byte-identity smoke
+  // test.
   IndexKind index_kind = IndexKind::kAuto;
-  ScanKernel scan_kernel = DefaultScanKernel();
   // --update=FILE: mutation batch serviced by Engine::Update after the
   // initial fixpoint; the printed tables are the maintained result.
   std::string update_path;
@@ -140,16 +139,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* opt) {
         opt->index_kind = IndexKind::kAuto;
       } else {
         std::fprintf(stderr, "unknown index kind: %s\n", name.c_str());
-        return false;
-      }
-    } else if (arg.rfind("--scan=", 0) == 0) {
-      std::string name = value_of("--scan=");
-      if (name == "scalar") {
-        opt->scan_kernel = ScanKernel::kScalar;
-      } else if (name == "simd") {
-        opt->scan_kernel = ScanKernel::kSimd;
-      } else {
-        std::fprintf(stderr, "unknown scan kernel: %s\n", name.c_str());
         return false;
       }
     } else if (arg.rfind("--update=", 0) == 0) {
@@ -288,8 +277,7 @@ int RunAs(const CliOptions& opt, const std::string& text,
 
   Engine<P> engine(prog.value(), edb,
                    EngineOptions{.num_threads = opt.threads,
-                                 .index_kind = opt.index_kind,
-                                 .scan_kernel = opt.scan_kernel});
+                                 .index_kind = opt.index_kind});
   EvalResult<P> result = [&] {
     if constexpr (CompleteDistributiveDioid<P>) {
       if (opt.seminaive) return engine.SemiNaive(opt.max_steps);
@@ -353,8 +341,7 @@ int main(int argc, char** argv) {
                  "usage: datalogo_cli PROGRAM.dl [--semiring=NAME] "
                  "[--edb P=FILE]... [--bedb P=FILE]... [--seminaive] "
                  "[--advise] [--max-steps=N] [--threads=N] "
-                 "[--index=hash|direct|auto] "
-                 "[--scan=scalar|simd] [--update=BATCH]\n"
+                 "[--index=hash|direct|auto] [--update=BATCH]\n"
                  "semirings: bool nat trop tropnat fuzzy viterbi\n");
     return 1;
   }

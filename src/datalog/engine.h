@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "src/core/check.h"
-#include "src/core/simd.h"
 #include "src/core/status.h"
 #include "src/core/thread_pool.h"
 #include "src/datalog/ast.h"
@@ -64,10 +63,6 @@ inline Status CheckEngineSupport(const Program& prog) {
 
 /// Tuning knobs for Engine.
 struct EngineOptions {
-  /// Reuse RelationIndexes across joining steps (EDB indexes live for the
-  /// whole run; IDB indexes until their relation mutates). Off = the
-  /// seed's rebuild-per-disjunct behaviour, kept for benchmarking.
-  bool cache_indexes = true;
   /// Worker parallelism for ICO applications. <= 1 runs the sequential
   /// kernel unchanged; N > 1 fans compiled disjuncts (and row-range
   /// shards of each disjunct's driver entry list) out across N threads
@@ -87,14 +82,6 @@ struct EngineOptions {
   /// Fixpoints, `work` and all four index counters are bit-identical
   /// across tiers — only probe cost and the new probe counters move.
   IndexKind index_kind = IndexKind::kAuto;
-  /// Column-scan kernel for index builds (simd.h): the live-row, key
-  /// range and key-equality scans a RelationIndex build or refresh runs.
-  /// kScalar is the definitional reference; kSimd uses the compiled ISA
-  /// (SSE2/AVX2/NEON, scalar tails). The join itself has one kernel and
-  /// is unaffected. Fixpoints, `work` and all index counters are
-  /// bit-identical across scan kernels. Default honors the DATALOGO_SCAN
-  /// environment variable.
-  ScanKernel scan_kernel = DefaultScanKernel();
 };
 
 /// How Engine::Update serviced one batch (reported for tests/benches).
@@ -157,9 +144,8 @@ class Engine {
   Engine(const Program& prog, const EdbInstance<P>& edb,
          EngineOptions options = {})
       : prog_(&prog), edb_(&edb), options_(options) {
-    const IndexConfig idx_cfg{options_.index_kind, options_.scan_kernel};
-    pops_cache_.set_config(idx_cfg);
-    bool_cache_.set_config(idx_cfg);
+    pops_cache_.set_kind(options_.index_kind);
+    bool_cache_.set_kind(options_.index_kind);
     Compile();
     int threads = options_.num_threads;
     if (threads == 0) {
@@ -171,10 +157,9 @@ class Engine {
   /// Threads an ICO application executes on (1 = sequential kernel).
   int num_threads() const { return pool_ ? pool_->concurrency() : 1; }
 
-  /// Indexes constructed so far (cached or not) — the bench counter for
-  /// the index-caching win.
+  /// Indexes constructed or refreshed so far through the caches.
   uint64_t index_builds() const {
-    return pops_cache_.builds() + bool_cache_.builds() + uncached_builds_;
+    return pops_cache_.builds() + bool_cache_.builds();
   }
   /// Index lookups served from cache without rebuilding.
   uint64_t index_hits() const {
@@ -508,9 +493,9 @@ class Engine {
 
   /// Per-generator inputs of one disjunct evaluation, resolved during the
   /// sequential prepare phase (the only phase that touches the index
-  /// caches, build counters, or — with caching off — builds throwaway
-  /// local indexes). Immutable during the execute phase, so any number of
-  /// shard tasks of the same evaluation may read it concurrently.
+  /// caches and build counters). Immutable during the execute phase, so
+  /// any number of shard tasks of the same evaluation may read it
+  /// concurrently.
   struct PreparedGens {
     std::vector<const RelationIndex<P>*> pops_idx;
     std::vector<const RelationIndex<BoolS>*> bool_idx;
@@ -524,11 +509,6 @@ class Engine {
     /// prebindings, so it is known before execution and is what shards
     /// partition). Null iff the disjunct has no generators.
     const RowIdList* level0 = nullptr;
-    /// Caching off: owning storage keeping rebuilt indexes alive for the
-    /// duration of the execute phase (the seed's rebuild-per-disjunct
-    /// behaviour, preserved for benchmarking).
-    std::vector<std::unique_ptr<RelationIndex<P>>> local_pops;
-    std::vector<std::unique_ptr<RelationIndex<BoolS>>> local_bool;
   };
 
   /// One unit of evaluation for ApplyUnits: a disjunct plus the resolver that
@@ -1336,7 +1316,6 @@ class Engine {
       }
       free_ops.push_back(FreeOp{static_cast<int>(p), t.var, !seen});
     }
-    const IndexConfig idx_cfg{options_.index_kind, options_.scan_kernel};
     typename P::Value total = P::Zero();
     auto drain = [&](const auto& rel, const RowIdList& entries,
                      auto&& value_of) {
@@ -1367,20 +1346,10 @@ class Engine {
         if (!rel.Get(key)) return P::Zero();
         return RederiveLevel(cd, g + 1, binding, acc, idb, work);
       }
-      std::unique_ptr<RelationIndex<BoolS>> local;
-      const RowIdList* entries = nullptr;
-      if (options_.cache_indexes) {
-        const RelationIndex<BoolS>& idx =
-            bool_cache_.Get(rel, key_pos, /*pin=*/false);
-        CountProbe(idx.repr(), &hash_probes_, &direct_probes_);
-        entries = &idx.Lookup(key);
-      } else {
-        ++uncached_builds_;
-        local = std::make_unique<RelationIndex<BoolS>>(rel, key_pos, idx_cfg);
-        CountProbe(local->repr(), &hash_probes_, &direct_probes_);
-        entries = &local->Lookup(key);
-      }
-      drain(rel, *entries, [&](uint32_t) { return acc; });
+      const RelationIndex<BoolS>& idx =
+          bool_cache_.Get(rel, key_pos, /*pin=*/false);
+      CountProbe(idx.repr(), &hash_probes_, &direct_probes_);
+      drain(rel, idx.Lookup(key), [&](uint32_t) { return acc; });
       return total;
     }
     const Relation<P>& rel =
@@ -1391,20 +1360,9 @@ class Engine {
       if (P::Eq(v, P::Zero())) return P::Zero();
       return RederiveLevel(cd, g + 1, binding, P::Times(acc, v), idb, work);
     }
-    std::unique_ptr<RelationIndex<P>> local;
-    const RowIdList* entries = nullptr;
-    if (options_.cache_indexes) {
-      const RelationIndex<P>& idx =
-          pops_cache_.Get(rel, key_pos, /*pin=*/false);
-      CountProbe(idx.repr(), &hash_probes_, &direct_probes_);
-      entries = &idx.Lookup(key);
-    } else {
-      ++uncached_builds_;
-      local = std::make_unique<RelationIndex<P>>(rel, key_pos, idx_cfg);
-      CountProbe(local->repr(), &hash_probes_, &direct_probes_);
-      entries = &local->Lookup(key);
-    }
-    drain(rel, *entries,
+    const RelationIndex<P>& idx = pops_cache_.Get(rel, key_pos, /*pin=*/false);
+    CountProbe(idx.repr(), &hash_probes_, &direct_probes_);
+    drain(rel, idx.Lookup(key),
           [&](uint32_t row) { return P::Times(acc, rel.ValueAt(row)); });
     return total;
   }
@@ -1589,7 +1547,7 @@ class Engine {
 
   /// Prepare phase of one disjunct evaluation: resolves every generator's
   /// relation and index (through the cache — the only place build/hit
-  /// counters move — or into owned locals with caching off) and looks up
+  /// counters move) and looks up
   /// the driver entry list (level 0's key depends only on prebindings).
   /// Sequential by construction: callers never overlap PrepareGens with
   /// the parallel execute phase.
@@ -1597,32 +1555,22 @@ class Engine {
   void PrepareGens(const CompiledDisjunct& cd, Resolver&& resolver,
                    PreparedGens* prep) const {
     const std::size_t levels = cd.generators.size();
-    const IndexConfig idx_cfg{options_.index_kind, options_.scan_kernel};
     prep->pops_idx.assign(levels, nullptr);
     prep->bool_idx.assign(levels, nullptr);
     prep->pops_rel.assign(levels, nullptr);
     prep->bool_rel.assign(levels, nullptr);
     prep->repr.assign(levels, IndexRepr::kHashMap);
     prep->level0 = nullptr;
-    prep->local_pops.clear();
-    prep->local_bool.clear();
     for (std::size_t g = 0; g < levels; ++g) {
       const Generator& gen = cd.generators[g];
       if (gen.is_bool) {
         const Relation<BoolS>& rel = edb_->boolean(gen.pred);
-        if (options_.cache_indexes) {
-          // Boolean condition atoms always read the EDB: pin the entry
-          // (never evicted, never re-scanned) and attribute its scan.
-          const uint64_t scans = bool_cache_.scan_rows();
-          prep->bool_idx[g] =
-              &bool_cache_.Get(rel, gen.key_positions, /*pin=*/true);
-          edb_index_scan_rows_ += bool_cache_.scan_rows() - scans;
-        } else {
-          ++uncached_builds_;
-          prep->local_bool.push_back(std::make_unique<RelationIndex<BoolS>>(
-              rel, gen.key_positions, idx_cfg));
-          prep->bool_idx[g] = prep->local_bool.back().get();
-        }
+        // Boolean condition atoms always read the EDB: pin the entry
+        // (never evicted, never re-scanned) and attribute its scan.
+        const uint64_t scans = bool_cache_.scan_rows();
+        prep->bool_idx[g] =
+            &bool_cache_.Get(rel, gen.key_positions, /*pin=*/true);
+        edb_index_scan_rows_ += bool_cache_.scan_rows() - scans;
         prep->bool_rel[g] = &rel;
         prep->repr[g] = prep->bool_idx[g]->repr();
       } else {
@@ -1635,25 +1583,18 @@ class Engine {
         // evictable and must not disturb the EDB-scan invariant.
         const Relation<P>& rel = resolver(gen.atom_index);
         const bool base_edb = !gen.is_idb && &rel == &edb_->pops(gen.pred);
-        if (options_.cache_indexes) {
-          const uint64_t before = pops_cache_.builds();
-          const uint64_t scans = pops_cache_.scan_rows();
-          prep->pops_idx[g] =
-              &pops_cache_.Get(rel, gen.key_positions, /*pin=*/base_edb);
-          if (!base_edb) {
-            if (pops_cache_.builds() != before) {
-              ++idb_index_builds_;
-            } else {
-              ++idb_index_hits_;
-            }
+        const uint64_t before = pops_cache_.builds();
+        const uint64_t scans = pops_cache_.scan_rows();
+        prep->pops_idx[g] =
+            &pops_cache_.Get(rel, gen.key_positions, /*pin=*/base_edb);
+        if (!base_edb) {
+          if (pops_cache_.builds() != before) {
+            ++idb_index_builds_;
           } else {
-            edb_index_scan_rows_ += pops_cache_.scan_rows() - scans;
+            ++idb_index_hits_;
           }
         } else {
-          ++uncached_builds_;
-          prep->local_pops.push_back(std::make_unique<RelationIndex<P>>(
-              rel, gen.key_positions, idx_cfg));
-          prep->pops_idx[g] = prep->local_pops.back().get();
+          edb_index_scan_rows_ += pops_cache_.scan_rows() - scans;
         }
         prep->pops_rel[g] = &rel;
         prep->repr[g] = prep->pops_idx[g]->repr();
@@ -1847,7 +1788,6 @@ class Engine {
   mutable std::vector<TaskState> par_states_;  ///< one per (unit, shard)
   mutable IndexCache<P> pops_cache_;
   mutable IndexCache<BoolS> bool_cache_;
-  mutable uint64_t uncached_builds_ = 0;
   mutable uint64_t idb_index_builds_ = 0;  ///< cache builds for IDB inputs
   mutable uint64_t idb_index_hits_ = 0;    ///< cache hits for IDB inputs
   mutable uint64_t hash_probes_ = 0;    ///< hash-map index lookups

@@ -20,8 +20,11 @@
 #define DATALOGO_RELATION_IO_H_
 
 #include <cctype>
+#include <cerrno>
 #include <charconv>
+#include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -169,14 +172,18 @@ inline Status LoadTsvBool(const std::string& text, Domain* dom,
 }
 
 /// Standard value parsers for the common carriers.
+/// Doubles parse as strtod reads them (so every FormatDouble text loads
+/// back bit-exactly). Overflow and underflow to zero are errors; a
+/// subnormal result is a value.
 inline bool ParseDoubleValue(const std::string& s, double* out) {
-  try {
-    std::size_t pos = 0;
-    *out = std::stod(s, &pos);
-    return pos == s.size();
-  } catch (...) {
-    return false;
-  }
+  if (s.empty()) return false;
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(s.c_str(), &end);
+  if (end != s.c_str() + s.size()) return false;
+  if (errno == ERANGE && std::fpclassify(v) != FP_SUBNORMAL) return false;
+  *out = v;
+  return true;
 }
 inline bool ParseUintValue(const std::string& s, uint64_t* out) {
   if (!io_internal::LooksLikeInt(s) || s[0] == '-') return false;

@@ -27,7 +27,6 @@
 
 #include "src/core/check.h"
 #include "src/core/hash.h"
-#include "src/core/simd.h"
 #include "src/relation/domain.h"
 #include "src/relation/tuple.h"
 #include "src/semiring/traits.h"
@@ -55,12 +54,6 @@ using RowIdList = std::vector<uint32_t>;
 /// whenever the key span fits the hard cap; kHash forces hashing
 /// everywhere — the pre-tier behaviour, kept as the reference.
 enum class IndexKind : uint8_t { kHash = 0, kDirect = 1, kAuto = 2 };
-
-/// Knobs threaded from EngineOptions into every index build.
-struct IndexConfig {
-  IndexKind kind = IndexKind::kAuto;
-  ScanKernel scan = DefaultScanKernel();
-};
 
 /// Non-owning view of one row's key columns in a columnar store. Usable
 /// as a probe/upsert key against any Relation (of any value space)
@@ -158,9 +151,6 @@ class Relation {
   /// kernel's innermost drain reads bound cells from. Valid until the
   /// columns mutate.
   const ConstId* column_data(int pos) const { return cols_[pos].data(); }
-  /// Raw live-flag bytes (parallel to the columns) — the SIMD-scan
-  /// surface for live-row compaction during index builds.
-  const uint8_t* live_data() const { return live_flags_.data(); }
   std::size_t tombstones() const { return values_.size() - live_; }
 
   /// Calls fn(row_id) for every live (support) row, in row order.
@@ -529,7 +519,7 @@ class Relation {
 };
 
 /// How one RelationIndex actually serves lookups. Tier choice is a pure
-/// function of (key positions, IndexConfig, live key-column min/max and
+/// function of (key positions, IndexKind, live key-column min/max and
 /// support size), so the same relation state always gets the same tier —
 /// a prerequisite for the engine's cross-configuration determinism pins.
 enum class IndexRepr : uint8_t {
@@ -542,12 +532,6 @@ enum class IndexRepr : uint8_t {
 /// header per id in [min, max]) stops being worth skipping the hash.
 /// Applies even under IndexKind::kDirect.
 inline constexpr uint64_t kDirectSpanCap = uint64_t{1} << 20;
-
-/// Direct-build strategy bound: tombstone-free columns whose span is at
-/// most this are built by one vectorized FilterEqRows pass per key
-/// instead of a scalar scatter. Kernel-independent on purpose, so both
-/// scan kernels build byte-identical structures by the same plan.
-inline constexpr uint64_t kFilterBuildSpanCap = 8;
 
 /// An index over a relation keyed by a subset of argument positions;
 /// built on demand by the engine (index nested-loop joins) and reused
@@ -575,8 +559,8 @@ class RelationIndex {
 
   /// Builds an index of `rel` on the given positions.
   explicit RelationIndex(const Relation<P>& rel, std::vector<int> positions,
-                         IndexConfig cfg = {})
-      : rel_(&rel), positions_(std::move(positions)), cfg_(cfg) {
+                         IndexKind kind = IndexKind::kAuto)
+      : rel_(&rel), positions_(std::move(positions)), kind_(kind) {
     ChooseRepr();
     if (repr_ == IndexRepr::kDirectArray) {
       buckets_.assign(static_cast<std::size_t>(span_), EntryList{});
@@ -654,12 +638,12 @@ class RelationIndex {
   /// the relation's current content.
   void ChooseRepr() {
     if (positions_.size() != 1) {
-      repr_ = (positions_.empty() && cfg_.kind != IndexKind::kHash)
+      repr_ = (positions_.empty() && kind_ != IndexKind::kHash)
                   ? IndexRepr::kAllRows
                   : IndexRepr::kHashMap;
       return;
     }
-    if (cfg_.kind == IndexKind::kHash) {
+    if (kind_ == IndexKind::kHash) {
       repr_ = IndexRepr::kHashMap;
       return;
     }
@@ -672,21 +656,17 @@ class RelationIndex {
     }
     const std::vector<ConstId>& col = rel_->column(positions_[0]);
     uint32_t lo = 0, hi = 0;
-    if (rel_->tombstones() == 0) {
-      simd::MinMaxU32(col.data(), rel_->num_rows(), &lo, &hi, cfg_.scan);
-    } else {
-      bool first = true;
-      for (uint32_t r = 0; r < rel_->num_rows(); ++r) {
-        if (!rel_->RowLive(r)) continue;
-        if (first || col[r] < lo) lo = col[r];
-        if (first || col[r] > hi) hi = col[r];
-        first = false;
-      }
+    bool first = true;
+    for (uint32_t r = 0; r < rel_->num_rows(); ++r) {
+      if (!rel_->RowLive(r)) continue;
+      if (first || col[r] < lo) lo = col[r];
+      if (first || col[r] > hi) hi = col[r];
+      first = false;
     }
     rows_scanned_ += rel_->num_rows();  // the min/max detection pass
     const uint64_t span = static_cast<uint64_t>(hi) - lo + 1;
     const bool dense =
-        cfg_.kind == IndexKind::kDirect ||
+        kind_ == IndexKind::kDirect ||
         span <= 4 * static_cast<uint64_t>(live) + 256;
     if (span <= kDirectSpanCap && dense) {
       repr_ = IndexRepr::kDirectArray;
@@ -703,11 +683,10 @@ class RelationIndex {
     const bool may_have_dead = from == 0 && rel_->tombstones() != 0;
     switch (repr_) {
       case IndexRepr::kAllRows:
-        // The entry list IS the live-row compaction — one SIMD pass.
-        if (from == 0) {
-          simd::CollectLiveRows(rel_->live_data(), to, cfg_.scan, &all_);
-        } else {
-          for (uint32_t r = from; r < to; ++r) all_.push_back(r);
+        // The entry list IS the live-row compaction.
+        for (uint32_t r = from; r < to; ++r) {
+          if (may_have_dead && !rel_->RowLive(r)) continue;
+          all_.push_back(r);
         }
         break;
       case IndexRepr::kDirectArray: {
@@ -719,21 +698,9 @@ class RelationIndex {
           if (may_have_dead && !rel_->RowLive(r)) continue;
           if (static_cast<uint32_t>(col[r]) - base_ >= span_) return false;
         }
-        if (from == 0 && !may_have_dead && span_ != 0 &&
-            span_ <= kFilterBuildSpanCap) {
-          // Small-span full build: one vectorized equality pass per key
-          // fills each bucket in ascending row order.
-          for (uint64_t k = 0; k < span_; ++k) {
-            FilterScans(to);
-            simd::FilterEqRows(col.data(), to,
-                               base_ + static_cast<uint32_t>(k), cfg_.scan,
-                               &buckets_[static_cast<std::size_t>(k)]);
-          }
-        } else {
-          for (uint32_t r = from; r < to; ++r) {
-            if (may_have_dead && !rel_->RowLive(r)) continue;
-            buckets_[col[r] - base_].push_back(r);
-          }
+        for (uint32_t r = from; r < to; ++r) {
+          if (may_have_dead && !rel_->RowLive(r)) continue;
+          buckets_[col[r] - base_].push_back(r);
         }
         break;
       }
@@ -745,8 +712,6 @@ class RelationIndex {
     indexed_rows_ = to;
     return true;
   }
-
-  void FilterScans(uint32_t n) { rows_scanned_ += n; }
 
   // ------------------------------------------------------------ hash tier
   // The two entry points below stay out of line: inlined, the hashing and
@@ -844,7 +809,7 @@ class RelationIndex {
 
   const Relation<P>* rel_;
   std::vector<int> positions_;
-  IndexConfig cfg_;
+  IndexKind kind_;
   IndexRepr repr_ = IndexRepr::kHashMap;
   // Hash tier: slots_ maps keys to group ids (mask_ == slots_.size() - 1);
   // group g's key is keys_[g*k, (g+1)*k) and its entry list groups_[g].
@@ -874,10 +839,9 @@ class RelationIndex {
 template <Pops P>
 class IndexCache {
  public:
-  /// Index-tier and scan-kernel knobs for every index built through this
-  /// cache. Set before the first Get (the engine does, at construction).
-  void set_config(IndexConfig cfg) { config_ = cfg; }
-  IndexConfig config() const { return config_; }
+  /// Index-tier policy for every index built through this cache. Set
+  /// before the first Get (the engine does, at construction).
+  void set_kind(IndexKind kind) { kind_ = kind; }
 
   /// Returns an index of `rel` on `positions`, building it if no current
   /// one is cached. The reference stays valid until `rel` is mutated, the
@@ -917,7 +881,7 @@ class IndexCache {
         // Build before updating the entry: a throwing constructor must
         // not leave the stale index tagged with the fresh version.
         auto rebuilt =
-            std::make_unique<RelationIndex<P>>(rel, positions, config_);
+            std::make_unique<RelationIndex<P>>(rel, positions, kind_);
         scan_rows_ += rebuilt->rows_scanned();
         e.index = std::move(rebuilt);
       }
@@ -930,7 +894,7 @@ class IndexCache {
     // heap RelationIndexes that outstanding Get() references point to.
     entries.push_back(
         Entry{positions, rel.version(),
-              std::make_unique<RelationIndex<P>>(rel, positions, config_),
+              std::make_unique<RelationIndex<P>>(rel, positions, kind_),
               sweep_, pin});
     scan_rows_ += entries.back().index->rows_scanned();
     return *entries.back().index;
@@ -998,7 +962,7 @@ class IndexCache {
     return ok;
   }
 
-  IndexConfig config_;
+  IndexKind kind_ = IndexKind::kAuto;
   std::unordered_map<uint64_t, std::vector<Entry>> cache_;
   uint64_t sweep_ = 0;
   uint64_t builds_ = 0;

@@ -7,8 +7,9 @@
 #define DATALOGO_SEMIRING_REALS_H_
 
 #include <cmath>
-#include <sstream>
 #include <string>
+
+#include "src/core/format.h"
 
 namespace datalogo {
 
@@ -23,9 +24,7 @@ struct RealS {
   static Value Times(Value a, Value b) { return a * b; }
   static bool Eq(Value a, Value b) { return a == b; }
   static std::string ToString(Value a) {
-    std::ostringstream os;
-    os << a;
-    return os.str();
+    return FormatDouble(a);
   }
 };
 
@@ -46,9 +45,7 @@ struct RealPlusS {
   static bool Eq(Value a, Value b) { return a == b; }
   static bool Leq(Value a, Value b) { return a <= b; }
   static std::string ToString(Value a) {
-    std::ostringstream os;
-    os << a;
-    return os.str();
+    return FormatDouble(a);
   }
 };
 

@@ -8,9 +8,11 @@
 #define DATALOGO_SEMIRING_TROPICAL_H_
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
-#include <sstream>
 #include <string>
+
+#include "src/core/format.h"
 
 namespace datalogo {
 
@@ -34,10 +36,7 @@ struct TropS {
   /// Eq. (6): v ⊖ u = v if v < u, else ∞.
   static Value Minus(Value v, Value u) { return v < u ? v : Inf(); }
   static std::string ToString(Value a) {
-    if (a == Inf()) return "inf";
-    std::ostringstream os;
-    os << a;
-    return os.str();
+    return FormatDouble(a);
   }
 };
 
@@ -89,10 +88,7 @@ struct MaxPlusS {
   static bool Leq(Value a, Value b) { return a <= b; }
   static Value Minus(Value v, Value u) { return v > u ? v : NegInf(); }
   static std::string ToString(Value a) {
-    if (a == NegInf()) return "-inf";
-    std::ostringstream os;
-    os << a;
-    return os.str();
+    return FormatDouble(a);
   }
 };
 
@@ -113,9 +109,7 @@ struct ViterbiS {
   static bool Leq(Value a, Value b) { return a <= b; }
   static Value Minus(Value v, Value u) { return v > u ? v : 0.0; }
   static std::string ToString(Value a) {
-    std::ostringstream os;
-    os << a;
-    return os.str();
+    return FormatDouble(a);
   }
 };
 
@@ -137,9 +131,7 @@ struct FuzzyS {
   static bool Leq(Value a, Value b) { return a <= b; }
   static Value Minus(Value v, Value u) { return v > u ? v : 0.0; }
   static std::string ToString(Value a) {
-    std::ostringstream os;
-    os << a;
-    return os.str();
+    return FormatDouble(a);
   }
 };
 

@@ -1,7 +1,7 @@
 // Tiered-index determinism: the engine's fixpoints, `work`, and all four
 // index-cache counters must be bit-identical across every index tier
-// (--index=hash|direct|auto), scan kernel (--scan=scalar|simd) and thread
-// count — the tiers may only move probe *cost* (visible
+// (--index=hash|direct|auto) and thread count — the tiers may only move
+// probe *cost* (visible
 // through the separate hash_probes/direct_probes counters). Workloads
 // are the equivalence-suite goldens (Boolean / Tropical / PosBool
 // provenance), each run naive and semi-naive.
@@ -78,18 +78,16 @@ RunResult<P> RunOnce(const Program& prog, const EdbInstance<P>& edb,
   return out;
 }
 
-std::string ConfigName(IndexKind kind, ScanKernel scan, int threads) {
+std::string ConfigName(IndexKind kind, int threads) {
   std::string s = kind == IndexKind::kHash     ? "hash"
                   : kind == IndexKind::kDirect ? "direct"
                                                : "auto";
-  s += scan == ScanKernel::kScalar ? "/scalar" : "/simd";
   s += "/t" + std::to_string(threads);
   return s;
 }
 
-/// Runs the reference configuration (hash tier, scalar scans, one
-/// thread), then the full cross of
-/// {hash,direct,auto} × {scalar,simd} × threads {1,4},
+/// Runs the reference configuration (hash tier, one thread), then the
+/// full cross of {hash,direct,auto} × threads {1,4},
 /// asserting each run's fixpoint and pinned counters match the
 /// reference exactly — for naive AND semi-naive.
 template <Pops P>
@@ -99,8 +97,7 @@ void ExpectBitIdenticalAcrossConfigs(const Program& prog,
                                      uint64_t golden_naive_work,
                                      uint64_t golden_semi_work) {
   const EngineOptions ref_opts{.num_threads = 1,
-                               .index_kind = IndexKind::kHash,
-                               .scan_kernel = ScanKernel::kScalar};
+                               .index_kind = IndexKind::kHash};
   RunResult<P> ref_naive = RunOnce(prog, edb, /*semi=*/false, ref_opts);
   RunResult<P> ref_semi = RunOnce(prog, edb, /*semi=*/true, ref_opts);
   ASSERT_TRUE(ref_naive.eval.converged);
@@ -113,25 +110,21 @@ void ExpectBitIdenticalAcrossConfigs(const Program& prog,
 
   for (IndexKind kind :
        {IndexKind::kHash, IndexKind::kDirect, IndexKind::kAuto}) {
-    for (ScanKernel scan : {ScanKernel::kScalar, ScanKernel::kSimd}) {
-      for (int threads : {1, 4}) {
-        SCOPED_TRACE(ConfigName(kind, scan, threads));
-        const EngineOptions opts{.num_threads = threads,
-                                 .index_kind = kind,
-                                 .scan_kernel = scan};
-        RunResult<P> naive = RunOnce(prog, edb, /*semi=*/false, opts);
-        RunResult<P> semi = RunOnce(prog, edb, /*semi=*/true, opts);
-        ASSERT_TRUE(naive.eval.converged);
-        ASSERT_TRUE(semi.eval.converged);
-        EXPECT_TRUE(naive.eval.idb.Equals(ref_naive.eval.idb));
-        EXPECT_TRUE(semi.eval.idb.Equals(ref_semi.eval.idb));
-        EXPECT_EQ(naive.pinned, ref_naive.pinned);
-        EXPECT_EQ(semi.pinned, ref_semi.pinned);
-        if (kind == IndexKind::kHash) {
-          // Forced hash must never take the offset-addressed path.
-          EXPECT_EQ(naive.direct_probes, 0u);
-          EXPECT_EQ(semi.direct_probes, 0u);
-        }
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE(ConfigName(kind, threads));
+      const EngineOptions opts{.num_threads = threads, .index_kind = kind};
+      RunResult<P> naive = RunOnce(prog, edb, /*semi=*/false, opts);
+      RunResult<P> semi = RunOnce(prog, edb, /*semi=*/true, opts);
+      ASSERT_TRUE(naive.eval.converged);
+      ASSERT_TRUE(semi.eval.converged);
+      EXPECT_TRUE(naive.eval.idb.Equals(ref_naive.eval.idb));
+      EXPECT_TRUE(semi.eval.idb.Equals(ref_semi.eval.idb));
+      EXPECT_EQ(naive.pinned, ref_naive.pinned);
+      EXPECT_EQ(semi.pinned, ref_semi.pinned);
+      if (kind == IndexKind::kHash) {
+        // Forced hash must never take the offset-addressed path.
+        EXPECT_EQ(naive.direct_probes, 0u);
+        EXPECT_EQ(semi.direct_probes, 0u);
       }
     }
   }
@@ -233,10 +226,8 @@ TEST(EngineIndexTiers, DirectTierReplacesHashProbesOnDenseKeys) {
   LoadEdges<TropS>(g, ids, [](const Edge& e) { return e.weight; },
                    &edb.pops(prog.FindPredicate("E")));
 
-  const EngineOptions hash_opts{.index_kind = IndexKind::kHash,
-                                .scan_kernel = ScanKernel::kScalar};
-  const EngineOptions auto_opts{.index_kind = IndexKind::kAuto,
-                                .scan_kernel = ScanKernel::kScalar};
+  const EngineOptions hash_opts{.index_kind = IndexKind::kHash};
+  const EngineOptions auto_opts{.index_kind = IndexKind::kAuto};
   RunResult<TropS> hashed = RunOnce(prog, edb, /*semi=*/true, hash_opts);
   RunResult<TropS> tiered = RunOnce(prog, edb, /*semi=*/true, auto_opts);
 
@@ -264,8 +255,7 @@ TEST(EngineIndexTiers, SemiNaiveRefreshesDeltaIndexesIncrementally) {
   for (IndexKind kind :
        {IndexKind::kHash, IndexKind::kDirect, IndexKind::kAuto}) {
     SCOPED_TRACE(static_cast<int>(kind));
-    const EngineOptions opts{.index_kind = kind,
-                             .scan_kernel = ScanKernel::kScalar};
+    const EngineOptions opts{.index_kind = kind};
     RunResult<TropS> semi = RunOnce(prog, edb, /*semi=*/true, opts);
     EXPECT_GT(semi.incremental_appends, 0u);
     RunResult<TropS> naive = RunOnce(prog, edb, /*semi=*/false, opts);
@@ -300,9 +290,7 @@ TEST(EngineIndexTiers, EdbColumnsAreScannedOncePerSpec) {
     for (bool semi : {false, true}) {
       SCOPED_TRACE(std::string(kind == IndexKind::kHash ? "hash" : "auto") +
                    (semi ? "/semi" : "/naive"));
-      Engine<TropS> engine(prog, edb,
-                           EngineOptions{.index_kind = kind,
-                                         .scan_kernel = ScanKernel::kScalar});
+      Engine<TropS> engine(prog, edb, EngineOptions{.index_kind = kind});
       EvalResult<TropS> r =
           semi ? engine.SemiNaive(1 << 20) : engine.Naive(1 << 20);
       ASSERT_TRUE(r.converged);

@@ -174,9 +174,9 @@ TEST(EngineStress, LargerRandomSweepSemiNaiveEqualsNaive) {
 }
 
 TEST(EngineStress, IndexCacheInvalidatesOnEdbMutation) {
-  // The engine caches RelationIndexes (EngineOptions::cache_indexes, on
-  // by default); mutating the EDB between runs must invalidate them, so a
-  // rerun sees the new data exactly like the uncached engine does.
+  // The engine caches RelationIndexes; mutating the EDB between runs must
+  // invalidate them, so a rerun sees the new data exactly like a fresh
+  // engine built after the mutation (which starts with a cold cache).
   Domain dom;
   auto prog = ParseProgram(kTc, &dom);
   ASSERT_TRUE(prog.ok());
@@ -186,8 +186,6 @@ TEST(EngineStress, IndexCacheInvalidatesOnEdbMutation) {
   int t = prog.value().FindPredicate("T");
   edb.pops(e).Set({ids[0], ids[1]}, 5.0);
   Engine<TropS> cached(prog.value(), edb);
-  Engine<TropS> uncached(prog.value(), edb,
-                         EngineOptions{.cache_indexes = false});
   auto first = cached.Naive(100);
   ASSERT_TRUE(first.converged);
   EXPECT_EQ(first.idb.idb(t).Get({ids[0], ids[1]}), 5.0);
@@ -196,14 +194,15 @@ TEST(EngineStress, IndexCacheInvalidatesOnEdbMutation) {
   edb.pops(e).Set({ids[0], ids[1]}, 2.0);
   edb.pops(e).Set({ids[1], ids[2]}, 1.0);
   auto second = cached.Naive(100);
-  auto reference = uncached.Naive(100);
+  Engine<TropS> cold(prog.value(), edb);
+  auto reference = cold.Naive(100);
   ASSERT_TRUE(second.converged && reference.converged);
   EXPECT_EQ(second.idb.idb(t).Get({ids[0], ids[1]}), 2.0);
   EXPECT_EQ(second.idb.idb(t).Get({ids[0], ids[2]}), 3.0);
   EXPECT_TRUE(second.idb.Equals(reference.idb));
 }
 
-TEST(EngineStress, CachedEngineAgreesWithUncachedAndBuildsFewerIndexes) {
+TEST(EngineStress, CachedEngineAgreesWithGroundedOracleAndHitsCache) {
   for (uint64_t seed = 0; seed < 3; ++seed) {
     Domain dom;
     auto prog = ParseProgram(kTc, &dom);
@@ -213,18 +212,17 @@ TEST(EngineStress, CachedEngineAgreesWithUncachedAndBuildsFewerIndexes) {
     EdbInstance<TropS> edb(prog.value());
     LoadEdges<TropS>(g, ids, [](const Edge& e) { return e.weight; },
                      &edb.pops(prog.value().FindPredicate("E")));
+    auto grounded = GroundProgram<TropS>(prog.value(), edb);
+    auto oracle = grounded.NaiveIterate(100000);
+    ASSERT_TRUE(oracle.converged) << seed;
+    const IdbInstance<TropS> want = grounded.Decode(oracle.values);
     Engine<TropS> cached(prog.value(), edb);
-    Engine<TropS> uncached(prog.value(), edb,
-                           EngineOptions{.cache_indexes = false});
     auto cn = cached.Naive(100000);
-    auto un = uncached.Naive(100000);
-    ASSERT_TRUE(cn.converged && un.converged);
-    EXPECT_TRUE(cn.idb.Equals(un.idb)) << seed;
+    ASSERT_TRUE(cn.converged) << seed;
+    EXPECT_TRUE(cn.idb.Equals(want)) << seed;
     auto cs = cached.SemiNaive(100000);
-    auto us = uncached.SemiNaive(100000);
-    ASSERT_TRUE(cs.converged && us.converged);
-    EXPECT_TRUE(cs.idb.Equals(us.idb)) << seed;
-    EXPECT_LT(cached.index_builds(), uncached.index_builds()) << seed;
+    ASSERT_TRUE(cs.converged) << seed;
+    EXPECT_TRUE(cs.idb.Equals(want)) << seed;
     EXPECT_GT(cached.index_hits(), 0u) << seed;
   }
 }
@@ -245,9 +243,7 @@ TEST(EngineStress, ParallelRandomProgramsMatchSequential) {
   // from a range-restricted template grammar) over randomized EDBs: the
   // parallel engine must reproduce the sequential fixpoint, work counter
   // and iteration count exactly, across thread counts, shard sizes —
-  // including shard_rows = 1, one task per driver entry — and index-build
-  // scan kernels (the sequential reference is pinned to scalar scans;
-  // the parallel engine samples scalar or SIMD scans per case).
+  // including shard_rows = 1, one task per driver entry.
   const int cases = CiIterations(12, 4);
   const int env_threads = StressThreads();
   std::mt19937_64 rng(0xD47A1060u);
@@ -281,23 +277,18 @@ TEST(EngineStress, ParallelRandomProgramsMatchSequential) {
     LoadEdges<TropS>(g, ids, [](const Edge& e) { return e.weight; },
                      &edb.pops(prog.value().FindPredicate("E")));
 
-    Engine<TropS> seq(prog.value(), edb,
-                      EngineOptions{.scan_kernel = ScanKernel::kScalar});
+    Engine<TropS> seq(prog.value(), edb);
     auto base_naive = seq.Naive(100000);
     auto base_semi = seq.SemiNaive(100000);
     ASSERT_TRUE(base_naive.converged && base_semi.converged);
 
     const int threads = c % 2 == 0 ? env_threads : 2 + static_cast<int>(rng() % 2);
     const int shard_rows = std::array{1, 8, 512}[rng() % 3];
-    const ScanKernel scan =
-        rng() % 2 == 0 ? ScanKernel::kSimd : ScanKernel::kScalar;
     SCOPED_TRACE(::testing::Message()
-                 << "threads=" << threads << " shard_rows=" << shard_rows
-                 << " scan=" << (scan == ScanKernel::kSimd ? "simd" : "scalar"));
+                 << "threads=" << threads << " shard_rows=" << shard_rows);
     Engine<TropS> par(prog.value(), edb,
                       EngineOptions{.num_threads = threads,
-                                    .shard_rows = shard_rows,
-                                    .scan_kernel = scan});
+                                    .shard_rows = shard_rows});
     auto par_naive = par.Naive(100000);
     auto par_semi = par.SemiNaive(100000);
     ASSERT_TRUE(par_naive.converged && par_semi.converged);
@@ -310,13 +301,13 @@ TEST(EngineStress, ParallelRandomProgramsMatchSequential) {
   }
 }
 
-TEST(EngineStress, RepeatedVariableProgramsMatchAcrossScanKernels) {
+TEST(EngineStress, RepeatedVariableProgramsMatchGroundedOracle) {
   // Random programs biased toward repeated-variable atoms (T(X,X),
   // E(X,X) — the patterns that compile to check ops, which keep the
   // innermost level off the join's tight drain) plus residual
-  // conditions, run under both index-build scan kernels at 1 and 4
-  // threads. Every run must reproduce the scalar-scan fixpoint, work
-  // and steps exactly.
+  // conditions. The sequential fixpoint must equal the grounded one, and
+  // runs at 1 and 4 threads must reproduce its fixpoint, work and steps
+  // exactly.
   const int cases = CiIterations(10, 4);
   std::mt19937_64 rng(0xBA7C4ED0u);
   for (int c = 0; c < cases; ++c) {
@@ -346,19 +337,21 @@ TEST(EngineStress, RepeatedVariableProgramsMatchAcrossScanKernels) {
     LoadEdges<TropS>(g, ids, [](const Edge& e) { return e.weight; },
                      &edb.pops(prog.value().FindPredicate("E")));
 
-    Engine<TropS> scalar(prog.value(), edb,
-                         EngineOptions{.scan_kernel = ScanKernel::kScalar});
-    auto ref_naive = scalar.Naive(100000);
-    auto ref_semi = scalar.SemiNaive(100000);
+    Engine<TropS> ref(prog.value(), edb);
+    auto ref_naive = ref.Naive(100000);
+    auto ref_semi = ref.SemiNaive(100000);
     ASSERT_TRUE(ref_naive.converged && ref_semi.converged);
+    auto grounded = GroundProgram<TropS>(prog.value(), edb);
+    auto oracle = grounded.NaiveIterate(100000);
+    ASSERT_TRUE(oracle.converged);
+    EXPECT_TRUE(ref_naive.idb.Equals(grounded.Decode(oracle.values)));
 
     for (int threads : {1, 4}) {
       SCOPED_TRACE(::testing::Message() << "threads=" << threads);
-      Engine<TropS> simd(prog.value(), edb,
-                         EngineOptions{.num_threads = threads,
-                                       .scan_kernel = ScanKernel::kSimd});
-      auto got_naive = simd.Naive(100000);
-      auto got_semi = simd.SemiNaive(100000);
+      Engine<TropS> engine(prog.value(), edb,
+                           EngineOptions{.num_threads = threads});
+      auto got_naive = engine.Naive(100000);
+      auto got_semi = engine.SemiNaive(100000);
       ASSERT_TRUE(got_naive.converged && got_semi.converged);
       EXPECT_TRUE(got_naive.idb.Equals(ref_naive.idb));
       EXPECT_TRUE(got_semi.idb.Equals(ref_semi.idb));

@@ -23,8 +23,7 @@ constexpr const char* kTc = R"(
 )";
 
 /// The engine configurations the bit-identity contract is checked over:
-/// threads, plus each forced index tier and the scalar
-/// index-build scans (the SIMD scans are the build default).
+/// threads, plus each forced index tier.
 std::vector<EngineOptions> ConfigMatrix() {
   std::vector<EngineOptions> out;
   for (int threads : {1, 4}) {
@@ -37,11 +36,6 @@ std::vector<EngineOptions> ConfigMatrix() {
     o.index_kind = kind;
     out.push_back(o);
   }
-  {
-    EngineOptions o;
-    o.scan_kernel = ScanKernel::kScalar;
-    out.push_back(o);
-  }
   return out;
 }
 
@@ -50,7 +44,6 @@ std::string ConfigName(const EngineOptions& o) {
   s += o.index_kind == IndexKind::kHash     ? "/hash"
        : o.index_kind == IndexKind::kDirect ? "/direct"
                                             : "/auto";
-  if (o.scan_kernel == ScanKernel::kScalar) s += "/scalar";
   return s;
 }
 

@@ -1,7 +1,12 @@
 // TSV relation I/O.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <random>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -235,6 +240,107 @@ TEST(Io, RandomizedDumpLoadRoundTrip) {
     Relation<NatS> rel3(arity);
     ASSERT_TRUE(LoadTsv<NatS>(tsv2, &dom3, &rel3, ParseUintValue).ok());
     ASSERT_EQ(rel3.support_size(), rel.support_size());
+  }
+}
+
+/// A double from a mix of regimes: arbitrary bit patterns (NaN
+/// excluded), short decimals, large integers, subnormals, ±0 and ±inf.
+double RandomDouble(std::mt19937_64& rng) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  switch (rng() % 7) {
+    case 0: {
+      double x;
+      do {
+        const uint64_t bits = rng();
+        std::memcpy(&x, &bits, sizeof x);
+      } while (std::isnan(x));
+      return x;
+    }
+    case 1:
+      return static_cast<double>(static_cast<int64_t>(rng() % 2000001) -
+                                 1000000) /
+             8.0;
+    case 2:
+      return static_cast<double>(rng() % (uint64_t{1} << 53));
+    case 3: {
+      const uint64_t bits = 1 + rng() % ((uint64_t{1} << 52) - 1);
+      double x;
+      std::memcpy(&x, &bits, sizeof x);  // positive subnormal
+      return rng() % 2 ? x : -x;
+    }
+    case 4:
+      return std::numeric_limits<double>::denorm_min();
+    case 5:
+      return rng() % 2 ? 0.0 : -0.0;
+    default:
+      return rng() % 2 ? kInf : -kInf;
+  }
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/// dump(load(dump(R))) == dump(R), and every value loads back with its
+/// exact bits. ⊥ values are skipped: the store never holds them.
+template <Pops P>
+void ExpectLosslessDoubleRoundTrip(uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  const int iters = CiIterations(50, 10);
+  for (int it = 0; it < iters; ++it) {
+    Domain dom;
+    Relation<P> rel(1);
+    std::vector<double> want;
+    for (int k = 0; k < 64; ++k) {
+      const double v = RandomDouble(rng);
+      if (P::Eq(v, P::Zero())) continue;
+      rel.Set({dom.InternInt(static_cast<int64_t>(want.size()))}, v);
+      want.push_back(v);
+    }
+    const std::string tsv = DumpTsv(rel, dom);
+    Domain dom2;
+    Relation<P> rel2(1);
+    ASSERT_TRUE(LoadTsv<P>(tsv, &dom2, &rel2, ParseDoubleValue).ok()) << tsv;
+    EXPECT_EQ(DumpTsv(rel2, dom2), tsv) << P::kName;
+    ASSERT_EQ(rel2.support_size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      const double got =
+          rel2.Get({dom2.InternInt(static_cast<int64_t>(i))});
+      EXPECT_TRUE(SameBits(got, want[i]))
+          << P::kName << ": " << FormatDouble(want[i]) << " loaded as "
+          << FormatDouble(got);
+    }
+  }
+}
+
+TEST(Io, DoubleDumpIsLossless) {
+  ExpectLosslessDoubleRoundTrip<TropS>(21);     // stores -inf, not +inf
+  ExpectLosslessDoubleRoundTrip<MaxPlusS>(22);  // stores +inf, not -inf
+}
+
+TEST(Io, DoubleTextKeepsShortFormWhereItRoundTrips) {
+  // Six significant digits (the old `ostream << x` text) wherever that
+  // reads back exactly; full precision only where it did not.
+  EXPECT_EQ(FormatDouble(3.0), "3");
+  EXPECT_EQ(FormatDouble(1.5), "1.5");
+  EXPECT_EQ(FormatDouble(123456.0), "123456");
+  EXPECT_EQ(FormatDouble(-0.0), "-0");
+  EXPECT_EQ(FormatDouble(std::numeric_limits<double>::infinity()), "inf");
+  EXPECT_EQ(FormatDouble(-std::numeric_limits<double>::infinity()), "-inf");
+  EXPECT_EQ(FormatDouble(1234567.0), "1234567");
+  EXPECT_EQ(FormatDouble(0.1234567), "0.1234567");
+  EXPECT_EQ(TropS::ToString(1234567.0), "1234567");
+  std::mt19937_64 rng(23);
+  for (int i = 0; i < CiIterations(2000, 400); ++i) {
+    const double x = RandomDouble(rng);
+    std::ostringstream os;
+    os << x;
+    double back = 0;
+    if (ParseDoubleValue(os.str(), &back) && SameBits(back, x)) {
+      EXPECT_EQ(FormatDouble(x), os.str());
+    }
+    ASSERT_TRUE(ParseDoubleValue(FormatDouble(x), &back)) << FormatDouble(x);
+    EXPECT_TRUE(SameBits(back, x)) << FormatDouble(x);
   }
 }
 

@@ -1,8 +1,8 @@
 // Tiered RelationIndex (relation.h): every tier — hash, direct
 // (offset-addressed) and all-rows — must serve exactly the entry lists of
 // a brute-force scan of the live rows — same row ids, ascending order —
-// over randomized id distributions, forced and auto selection, both scan
-// kernels, tombstoned rows, post-Compact rebuilds, multi-column and
+// over randomized id distributions, forced and auto selection, tombstoned
+// rows, post-Compact rebuilds, multi-column and
 // heap-spilled (width > Tuple::kInlineCapacity) keys, hash-tag
 // collisions, hash-table growth and the in-place refresh paths. Plus the
 // IndexCache refresh ladder: cache hits scan nothing, soft mutations
@@ -25,7 +25,6 @@ namespace {
 
 constexpr IndexKind kAllKinds[] = {IndexKind::kHash, IndexKind::kDirect,
                                    IndexKind::kAuto};
-constexpr ScanKernel kAllScans[] = {ScanKernel::kScalar, ScanKernel::kSimd};
 
 /// Probes: every id in [0, max_id], a band beyond it, and extremes —
 /// covers present keys, absent in-range keys, and the direct tier's
@@ -76,19 +75,15 @@ void ExpectMatchesScan(const RelationIndex<TropS>& idx,
   }
 }
 
-/// Every index kind × scan kernel must agree with the oracle on every
-/// probe, list order included.
+/// Every index kind must agree with the oracle on every probe, list
+/// order included.
 void ExpectTiersEquivalent(const Relation<TropS>& rel,
                            const std::vector<int>& positions,
                            const std::vector<Tuple>& probes) {
   for (IndexKind kind : kAllKinds) {
-    for (ScanKernel scan : kAllScans) {
-      RelationIndex<TropS> idx(rel, positions, {kind, scan});
-      ExpectMatchesScan(idx, rel, positions, probes,
-                        "kind=" + std::to_string(static_cast<int>(kind)) +
-                            " scan=" +
-                            std::to_string(static_cast<int>(scan)));
-    }
+    RelationIndex<TropS> idx(rel, positions, kind);
+    ExpectMatchesScan(idx, rel, positions, probes,
+                      "kind=" + std::to_string(static_cast<int>(kind)));
   }
 }
 
@@ -99,8 +94,7 @@ TEST(RelationIndex, DenseIdsSelectDirectAndAgreeWithHash) {
     r.Set({i % 64, static_cast<uint32_t>(rng() % 64)},
           static_cast<double>(rng() % 100));
   }
-  RelationIndex<TropS> auto_idx(r, {0}, {IndexKind::kAuto,
-                                         ScanKernel::kSimd});
+  RelationIndex<TropS> auto_idx(r, {0}, IndexKind::kAuto);
   EXPECT_EQ(auto_idx.repr(), IndexRepr::kDirectArray);
   EXPECT_FALSE(auto_idx.is_hash());
   ExpectTiersEquivalent(r, {0}, SingleColumnProbes(63));
@@ -116,12 +110,10 @@ TEST(RelationIndex, SparseIdsSelectHashAndAgreeWithForcedDirect) {
     keys.push_back(k);
     r.Set({k, static_cast<uint32_t>(rng() % 8)}, static_cast<double>(i));
   }
-  RelationIndex<TropS> auto_idx(r, {0}, {IndexKind::kAuto,
-                                         ScanKernel::kSimd});
+  RelationIndex<TropS> auto_idx(r, {0}, IndexKind::kAuto);
   EXPECT_EQ(auto_idx.repr(), IndexRepr::kHashMap);
   // Forced direct on a sparse-but-in-cap column: wasteful, still exact.
-  RelationIndex<TropS> forced(r, {0}, {IndexKind::kDirect,
-                                       ScanKernel::kSimd});
+  RelationIndex<TropS> forced(r, {0}, IndexKind::kDirect);
   EXPECT_EQ(forced.repr(), IndexRepr::kDirectArray);
   for (uint32_t k : keys) {
     EXPECT_EQ(ScanLiveRows(r, {0}, {k}), forced.Lookup({k}));
@@ -134,8 +126,7 @@ TEST(RelationIndex, SpanBeyondCapFallsBackToHashEvenWhenForced) {
   Relation<TropS> r(1);
   r.Set({0}, 1.0);
   r.Set({(1u << 20) + 5}, 2.0);  // span exceeds kDirectSpanCap
-  RelationIndex<TropS> forced(r, {0}, {IndexKind::kDirect,
-                                       ScanKernel::kSimd});
+  RelationIndex<TropS> forced(r, {0}, IndexKind::kDirect);
   EXPECT_EQ(forced.repr(), IndexRepr::kHashMap);
   EXPECT_EQ(forced.Lookup({0}).size(), 1u);
   EXPECT_EQ(forced.Lookup({(1u << 20) + 5}).size(), 1u);
@@ -150,7 +141,7 @@ TEST(RelationIndex, AutoThresholdStraddle) {
     Relation<TropS> r(2);
     for (uint32_t i = 0; i < 50; ++i) r.Set({i, i}, 1.0);
     r.Set({outlier, 7}, 2.0);
-    RelationIndex<TropS> idx(r, {0}, {IndexKind::kAuto, ScanKernel::kSimd});
+    RelationIndex<TropS> idx(r, {0}, IndexKind::kAuto);
     EXPECT_EQ(idx.repr(), outlier == 459u ? IndexRepr::kDirectArray
                                           : IndexRepr::kHashMap)
         << "outlier=" << outlier;
@@ -172,6 +163,31 @@ TEST(RelationIndex, TombstonedRowsExcludedFromEveryTier) {
   r.Compact();
   ASSERT_EQ(r.tombstones(), 0u);
   ExpectTiersEquivalent(r, {0}, SingleColumnProbes(8));
+  ExpectTiersEquivalent(r, {}, {Tuple{}});
+}
+
+TEST(RelationIndex, TombstonedExtremesLeaveLiveRangeAndAllRows) {
+  // The dense-detection min/max pass and the all-rows list read live rows
+  // only: with the rows holding the extreme keys tombstoned, the live
+  // span 10..29 is dense (direct under kAuto), and the empty-key index
+  // lists exactly the surviving row ids, ascending.
+  Relation<TropS> r(2);
+  r.Set({1000, 0}, 1.0);
+  for (uint32_t k = 10; k < 30; ++k) r.Set({k, k}, 1.0);
+  r.Set({5000, 1}, 1.0);
+  r.Set({1000, 0}, TropS::Inf());
+  r.Set({5000, 1}, TropS::Inf());
+  ASSERT_EQ(r.tombstones(), 2u);
+  RelationIndex<TropS> ranged(r, {0}, IndexKind::kAuto);
+  EXPECT_EQ(ranged.repr(), IndexRepr::kDirectArray);
+  EXPECT_EQ(ranged.Lookup({1000}).size(), 0u);
+  EXPECT_EQ(ranged.Lookup({5000}).size(), 0u);
+  RelationIndex<TropS> all(r, {}, IndexKind::kAuto);
+  ASSERT_EQ(all.repr(), IndexRepr::kAllRows);
+  RowIdList live;
+  for (uint32_t row = 1; row <= 20; ++row) live.push_back(row);
+  EXPECT_EQ(all.Lookup(Tuple{}), live);
+  ExpectTiersEquivalent(r, {0}, SingleColumnProbes(30));
   ExpectTiersEquivalent(r, {}, {Tuple{}});
 }
 
@@ -235,7 +251,7 @@ TEST(RelationIndex, MultiColumnAppendsGrowTheTableInPlace) {
   // (re-places its slots) many times while keeping every group.
   Relation<TropS> r(2);
   r.Set(Tuple{0, 0}, 1.0);
-  RelationIndex<TropS> idx(r, {0, 1}, {IndexKind::kAuto, ScanKernel::kSimd});
+  RelationIndex<TropS> idx(r, {0, 1}, IndexKind::kAuto);
   ASSERT_EQ(idx.repr(), IndexRepr::kHashMap);
   std::mt19937 rng(5);
   for (uint32_t round = 0; round < 12; ++round) {
@@ -272,7 +288,7 @@ TEST(RelationIndex, TagCollisionsFallBackToKeyCompare) {
   r.Set({7, y1}, 1.0);
   r.Set({7, y2}, 2.0);
   r.Set({7, y1 + y2}, 3.0);
-  RelationIndex<TropS> idx(r, {0, 1}, {IndexKind::kAuto, ScanKernel::kSimd});
+  RelationIndex<TropS> idx(r, {0, 1}, IndexKind::kAuto);
   ASSERT_EQ(idx.repr(), IndexRepr::kHashMap);
   EXPECT_EQ(idx.Lookup({7, y1}), RowIdList{0});
   EXPECT_EQ(idx.Lookup({7, y2}), RowIdList{1});
@@ -310,14 +326,13 @@ TEST(RelationIndex, ForcedHashWithEmptyKey) {
   Relation<TropS> r(2);
   for (uint32_t i = 0; i < 50; ++i) r.Set({i % 9, i}, 1.0);
   r.Set({3, 3}, TropS::Inf());
-  RelationIndex<TropS> idx(r, {}, {IndexKind::kHash, ScanKernel::kScalar});
+  RelationIndex<TropS> idx(r, {}, IndexKind::kHash);
   EXPECT_EQ(idx.repr(), IndexRepr::kHashMap);
   EXPECT_TRUE(idx.is_hash());
   EXPECT_EQ(idx.Lookup(Tuple{}).size(), 49u);
   ExpectMatchesScan(idx, r, {}, {Tuple{}, Tuple{3}}, "forced hash, {}");
   Relation<TropS> empty(2);
-  RelationIndex<TropS> none(empty, {}, {IndexKind::kHash,
-                                        ScanKernel::kScalar});
+  RelationIndex<TropS> none(empty, {}, IndexKind::kHash);
   EXPECT_EQ(none.Lookup(Tuple{}).size(), 0u);
 }
 
@@ -335,7 +350,7 @@ TEST(RelationIndex, RefreshPathsAfterClearAndRefill) {
           " width=" + std::to_string(positions.size());
       Relation<TropS> r(2);
       for (uint32_t i = 0; i < 40; ++i) r.Set({i % 10, i}, 1.0);
-      RelationIndex<TropS> idx(r, positions, {kind, ScanKernel::kSimd});
+      RelationIndex<TropS> idx(r, positions, kind);
       r.Clear();
       // Refill: some old keys, some new, in a different row order.
       for (uint32_t i = 0; i < 30; ++i) r.Set({(i * 7) % 12, 39 - i}, 2.0);
@@ -364,11 +379,9 @@ TEST(RelationIndex, RefreshPathsAfterClearAndRefill) {
 TEST(RelationIndex, EmptyRelationEveryTier) {
   Relation<TropS> r(2);
   for (IndexKind kind : kAllKinds) {
-    for (ScanKernel scan : kAllScans) {
-      RelationIndex<TropS> idx(r, {0}, {kind, scan});
-      EXPECT_EQ(idx.Lookup({0}).size(), 0u);
-      EXPECT_EQ(idx.Lookup({12345}).size(), 0u);
-    }
+    RelationIndex<TropS> idx(r, {0}, kind);
+    EXPECT_EQ(idx.Lookup({0}).size(), 0u);
+    EXPECT_EQ(idx.Lookup({12345}).size(), 0u);
   }
 }
 
@@ -391,7 +404,7 @@ TEST(IndexCache, AppendOnlyMutationRefreshesIncrementally) {
   Relation<TropS> r(2);
   for (uint32_t i = 0; i < 10; ++i) r.Set({i, i}, 1.0);
   IndexCache<TropS> cache;
-  cache.set_config({IndexKind::kHash, ScanKernel::kScalar});
+  cache.set_kind(IndexKind::kHash);
   const RelationIndex<TropS>* idx = &cache.Get(r, {0});
   for (uint32_t i = 10; i < 15; ++i) r.Set({i, i}, 1.0);  // soft appends
   const RelationIndex<TropS>* idx2 = &cache.Get(r, {0});
@@ -477,7 +490,7 @@ TEST(IndexCache, BuildAndHitCountersIdenticalAcrossKinds) {
   auto run = [](IndexKind kind) {
     Relation<TropS> r(2);
     IndexCache<TropS> cache;
-    cache.set_config({kind, ScanKernel::kSimd});
+    cache.set_kind(kind);
     for (uint32_t i = 0; i < 10; ++i) r.Set({i, i}, 1.0);
     cache.Get(r, {0});
     cache.Get(r, {0});
